@@ -30,7 +30,14 @@ import numpy as np
 
 from .analytic import MomentumIndex, analytic_eigenvalue, analytic_eigenvector
 from .eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
-from .model import CommutingFamily, LatticeSpec
+from .model import (
+    X_AXIS,
+    Y_AXIS,
+    CommutingFamily,
+    LatticeSpec,
+    build_symmetries,
+    translate,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +54,11 @@ ANGLE_RTOL = 1e-4
 
 # Translation eigenvalues must sit this close to the unit circle.
 UNIT_CIRCLE_TOL = 1e-8
+
+# Gap tolerance of the translation stages: default_gap_tol of each stage
+# operator (S +- S*)/2, whose Frobenius scale ||M||_F / sqrt(dim) is sqrt(1/2)
+# for every n >= 3 (two entries of modulus 1/2 per row).
+STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
 
 
 class SimultaneousDiagonalizationError(Exception):
@@ -110,12 +122,13 @@ class VerificationReport:
 def combination_matrices(
     family: CommutingFamily,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two products H(S_x - S_y) and S_x(H - S_y).
+    """The two dense complex products H(S_x - S_y) and S_x(H - S_y).
 
     Both are members of the commuting algebra generated by the family, hence
     normal and simultaneously diagonalizable with it.
     """
-    h, sx, sy = family.h, family.sx, family.sy
+    h = family.h
+    sx, sy = build_symmetries(family.spec)
     return h @ (sx - sy), sx @ (h - sy)
 
 
@@ -164,6 +177,16 @@ def _phase_index(
     return int(k % n)
 
 
+def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
+    """Per-column v_j* (M v)_j for ``applied`` = M v.
+
+    Each column's products are summed pairwise along a contiguous axis, with
+    rounding error O(log(dim) eps); a running sum (einsum) errs by
+    O(dim eps), which at n = 30 uses most of the eigenvalue-error bound.
+    """
+    return np.ascontiguousarray((v.conj() * applied).T).sum(axis=1)
+
+
 def momentum_labels(
     basis_vectors: np.ndarray,
     family: CommutingFamily,
@@ -180,8 +203,8 @@ def momentum_labels(
     n = family.n
     if angle_tol is None:
         angle_tol = (2.0 * math.pi / n) * ANGLE_RTOL
-    lam_x = np.einsum("ij,ij->j", v.conj(), family.sx @ v)
-    lam_y = np.einsum("ij,ij->j", v.conj(), family.sy @ v)
+    lam_x = _rayleigh_quotients(v, family.apply_sx(v))
+    lam_y = _rayleigh_quotients(v, family.apply_sy(v))
     labels = []
     for j in range(v.shape[1]):
         s = _phase_index(lam_x[j], n, angle_tol, "x-translation", j)
@@ -193,14 +216,17 @@ def momentum_labels(
 def _refine_within_blocks(
     vectors: np.ndarray,
     blocks: list[range],
-    operator: np.ndarray,
+    apply_operator,
     gap_tol: float,
 ) -> list[range]:
     """Diagonalize the projection of one Hermitian operator inside each block.
 
-    Rotates the columns of ``vectors`` in place; blocks of size one are left
-    untouched. Returns the refined block partition.
+    ``apply_operator`` maps a (dim, k) block of columns to the operator times
+    it; it is applied once to all columns, and each block projects its own
+    columns of the result. Rotates the columns of ``vectors`` in place; blocks
+    of size one are left untouched. Returns the refined block partition.
     """
+    applied = apply_operator(vectors)
     refined: list[range] = []
     for block in blocks:
         a, b = block.start, block.stop
@@ -208,7 +234,7 @@ def _refine_within_blocks(
             refined.append(block)
             continue
         cols = vectors[:, a:b]
-        projected = cols.conj().T @ (operator @ cols)
+        projected = cols.conj().T @ applied[:, a:b]
         projected = (projected + projected.conj().T) / 2.0
         sub = eig_hermitian(projected)
         vectors[:, a:b] = cols @ sub.vectors
@@ -217,14 +243,20 @@ def _refine_within_blocks(
     return refined
 
 
-def _symmetry_stages(
-    family: CommutingFamily,
-) -> list[tuple[str, np.ndarray]]:
-    """Hermitian/anti-Hermitian parts of S_x then S_y, in refinement order."""
+def _symmetry_stages(family: CommutingFamily) -> list:
+    """Hermitian (S + S*)/2 and anti-Hermitian (S - S*)/2i parts of S_x then
+    S_y, in refinement order, each applied as two translations (S* = S^-1)."""
+    n = family.n
     stages = []
-    for axis, s in (("x", family.sx), ("y", family.sy)):
-        stages.append((f"s{axis} hermitian part", (s + s.conj().T) / 2.0))
-        stages.append((f"s{axis} anti-hermitian part", (s - s.conj().T) * -0.5j))
+    for axis in (X_AXIS, Y_AXIS):
+
+        def hermitian_part(v, axis=axis):
+            return (translate(v, n, axis, 1) + translate(v, n, axis, -1)) * 0.5
+
+        def anti_hermitian_part(v, axis=axis):
+            return (translate(v, n, axis, 1) - translate(v, n, axis, -1)) * -0.5j
+
+        stages += [hermitian_part, anti_hermitian_part]
     return stages
 
 
@@ -241,11 +273,11 @@ def _assemble(vectors: np.ndarray, family: CommutingFamily) -> SymBasis:
     order = sorted(range(dim), key=lambda j: labels[j])
     vectors = np.ascontiguousarray(vectors[:, order])
     labels = [labels[j] for j in order]
-    energies = np.real(np.einsum("ij,ij->j", vectors.conj(), family.h @ vectors))
+    energies = _rayleigh_quotients(vectors, family.apply_h(vectors)).real
     sym_eigs = np.stack(
         [
-            np.einsum("ij,ij->j", vectors.conj(), family.sx @ vectors),
-            np.einsum("ij,ij->j", vectors.conj(), family.sy @ vectors),
+            _rayleigh_quotients(vectors, family.apply_sx(vectors)),
+            _rayleigh_quotients(vectors, family.apply_sy(vectors)),
         ],
         axis=1,
     )
@@ -268,7 +300,8 @@ def simultaneous_basis_refine(
     family : CommutingFamily
     gap_tol : float, optional
         Eigenvalue gap below which values count as degenerate. When omitted,
-        each stage uses 1e-9 * ||M||_F / sqrt(dim) of its stage operator M.
+        each stage uses 1e-9 * ||M||_F / sqrt(dim) of its stage operator M
+        (``STAGE_GAP_TOL`` for the translation parts).
 
     Raises
     ------
@@ -282,9 +315,9 @@ def simultaneous_basis_refine(
     vectors = np.array(base.vectors, dtype=complex)
     tol_h = gap_tol if gap_tol is not None else default_gap_tol(family.h)
     blocks = cluster_eigenvalues(base.values, tol_h).clusters
-    for stage_name, operator in _symmetry_stages(family):
-        tol = gap_tol if gap_tol is not None else default_gap_tol(operator)
-        blocks = _refine_within_blocks(vectors, blocks, operator, tol)
+    tol = gap_tol if gap_tol is not None else STAGE_GAP_TOL
+    for apply_operator in _symmetry_stages(family):
+        blocks = _refine_within_blocks(vectors, blocks, apply_operator, tol)
     stuck = [(b.start, b.stop) for b in blocks if len(b) > 1]
     if stuck:
         raise RefinementError(
@@ -311,7 +344,7 @@ def _normal_eigenbasis(k: np.ndarray, gap_tol: float | None) -> np.ndarray:
     tol = gap_tol if gap_tol is not None else default_gap_tol(herm)
     blocks = cluster_eigenvalues(base.values, tol).clusters
     tol = gap_tol if gap_tol is not None else default_gap_tol(anti)
-    _refine_within_blocks(vectors, blocks, anti, tol)
+    _refine_within_blocks(vectors, blocks, lambda v: anti @ v, tol)
     return vectors
 
 
@@ -337,8 +370,8 @@ def filter_simultaneous(
     for v in candidates:
         v = np.asarray(v)
         quotients = []
-        for m in (family.h, family.sx, family.sy):
-            mv = m @ v
+        for apply_operator in (family.apply_h, family.apply_sx, family.apply_sy):
+            mv = apply_operator(v)
             mu = np.vdot(v, mv)
             if np.linalg.norm(mv - mu * v) > filter_tol:
                 break
@@ -404,14 +437,16 @@ def verify_basis(
     dim = family.dim
     if basis.dim != dim:
         raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
-    v = basis.vectors
+    # One memory layout whatever the caller's: the column norms below round
+    # differently over C- and F-ordered input.
+    v = np.ascontiguousarray(basis.vectors)
     residuals = {}
-    for key, m, eigs in (
-        ("h", family.h, basis.energies),
-        ("sx", family.sx, basis.sym_eigs[:, 0]),
-        ("sy", family.sy, basis.sym_eigs[:, 1]),
+    for key, apply_operator, eigs in (
+        ("h", family.apply_h, basis.energies),
+        ("sx", family.apply_sx, basis.sym_eigs[:, 0]),
+        ("sy", family.apply_sy, basis.sym_eigs[:, 1]),
     ):
-        residuals[key] = float(np.linalg.norm(m @ v - v * eigs, axis=0).max())
+        residuals[key] = float(np.linalg.norm(apply_operator(v) - v * eigs, axis=0).max())
     orth = float(np.abs(v.conj().T @ v - np.eye(dim)).max())
     eig_err = 0.0
     entry_err = 0.0

@@ -131,10 +131,10 @@ def test_criterion_4_simultaneity(sweep):
         unitary_defect = np.abs(v.conj().T @ v - eye).max()
         if unitary_defect > 1e-10:
             failures.append(f"n={n} a={alpha} t={t}: unitary defect {unitary_defect:.2e}")
-        for key, m in (("h", family.h), ("sx", family.sx), ("sy", family.sy)):
-            transformed = v.conj().T @ m @ v
+        for key, apply in (("h", family.apply_h), ("sx", family.apply_sx), ("sy", family.apply_sy)):
+            transformed = v.conj().T @ apply(v)
             off = np.abs(transformed - np.diag(np.diag(transformed))).max()
-            if off > 1e-10 * np.linalg.norm(m):
+            if off > 1e-10 * np.linalg.norm(apply(eye)):
                 failures.append(f"n={n} a={alpha} t={t}: {key} off-diagonal {off:.2e}")
     conclude("criterion 4 (simultaneous diagonalization)", failures)
 
@@ -184,12 +184,14 @@ def test_criterion_7_exact_structure():
     for n in (3, 4, 8, 16, 25, 32):
         spec = LatticeSpec(n, 1.0, 0.2)
         family = build_family(spec)
+        eye = np.eye(n * n)
         for name, a, b in (
-            ("[h,sx]", family.h, family.sx),
-            ("[h,sy]", family.h, family.sy),
-            ("[sx,sy]", family.sx, family.sy),
+            ("[h,sx]", family.apply_h, family.apply_sx),
+            ("[h,sy]", family.apply_h, family.apply_sy),
+            ("[sx,sy]", family.apply_sx, family.apply_sy),
         ):
-            defect = np.abs(a @ b - b @ a).max()
+            # applied to the identity, both orders give the full product matrices
+            defect = np.abs(a(b(eye)) - b(a(eye))).max()
             if defect != 0.0:
                 failures.append(f"n={n}: {name} max entry {defect!r}")
         h = build_hamiltonian(spec)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tbbands import cli
-from tbbands.bands import compute_spectrum
+from tbbands.bands import compute_basis, compute_spectrum
 from tbbands.model import LatticeSpec
 from tbbands.simdiag import VerificationReport
 
@@ -108,6 +108,41 @@ class TestBandsCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "deficit" in err
+
+
+def reference_vectors_csv(vectors):
+    """The eigenvector CSV rendered entry by entry with format(x, ".17g")."""
+    lines = []
+    for j in range(vectors.shape[1]):
+        fields = []
+        for entry in vectors[:, j]:
+            fields += [format(float(entry.real), ".17g"), format(float(entry.imag), ".17g")]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestVectorsWriter:
+    def test_bytes_match_format_17g(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, -1e16,
+                   1e16 + 2.0, 9007199254740993.0, 0.1, 1.0 / 3.0, -123456.789, 1e-5, 1e22]
+        rng = np.random.default_rng(11)
+        pool = np.array(special + list(rng.standard_normal(10)))
+        vectors = np.empty((14, 9), dtype=complex)
+        vectors.real = rng.choice(pool, vectors.shape)
+        vectors.imag = rng.choice(pool, vectors.shape)
+        vectors.real[: len(special), 0] = special
+        vectors.imag[: len(special), 1] = special
+        for view in (vectors, vectors[:, ::2], np.asfortranarray(vectors)):
+            out = tmp_path / "vectors.csv"
+            cli._write_vectors_csv(str(out), view)
+            assert out.read_bytes() == reference_vectors_csv(view)
+
+    def test_bands_vectors_match_format_17g(self, tmp_path):
+        out = tmp_path / "vectors.csv"
+        args = ["bands", "--n", "5", "--alpha", "-0.7", "--t", "0.3"]
+        assert cli.main(args + ["--out", str(tmp_path / "b.csv"), "--vectors", str(out)]) == 0
+        _family, basis = compute_basis(LatticeSpec(5, -0.7, 0.3))
+        assert out.read_bytes() == reference_vectors_csv(basis.vectors)
 
 
 class TestVerifyCommand:

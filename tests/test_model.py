@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tbbands import model
 from tbbands.model import (
+    X_AXIS,
+    Y_AXIS,
     LatticeSpec,
     build_chain,
     build_family,
@@ -15,6 +20,7 @@ from tbbands.model import (
     build_shift,
     build_symmetries,
     kron,
+    translate,
 )
 
 
@@ -195,17 +201,26 @@ class TestSymmetries:
             assert np.array_equal(np.abs(s).sum(axis=1), np.ones(16))
 
 
+def dyadic_block(rng, dim, k):
+    """Complex block with entries j/8, |j| <= 64: with dyadic alpha and t every
+    product and partial sum of H v is exact, whatever order a BLAS sums in."""
+    parts = rng.integers(-64, 65, size=(2, dim, k)) / 8.0
+    return parts[0] + 1j * parts[1]
+
+
 class TestFamily:
     @pytest.mark.parametrize("n,alpha,t", [(3, 1.0, 0.2), (4, 1.0, 0.0), (6, 0.5, 1.3)])
     def test_commutators_exactly_zero(self, n, alpha, t):
         family = build_family(LatticeSpec(n, alpha, t))
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((n * n, 5)) + 1j * rng.standard_normal((n * n, 5))
         pairs = [
-            (family.h, family.sx),
-            (family.h, family.sy),
-            (family.sx, family.sy),
+            (family.apply_h, family.apply_sx),
+            (family.apply_h, family.apply_sy),
+            (family.apply_sx, family.apply_sy),
         ]
         for a, b in pairs:
-            assert np.abs(a @ b - b @ a).max() == 0.0
+            assert np.array_equal(a(b(v)), b(a(v)))
 
     def test_dimension_n8(self):
         family = build_family(LatticeSpec(8, 1.0, 0.2))
@@ -216,3 +231,68 @@ class TestFamily:
         family = build_family(LatticeSpec(3, 1.0, 0.2))
         with pytest.raises(ValueError):
             family.h[0, 0] = 5.0
+
+    def test_hamiltonian_is_real(self):
+        family = build_family(LatticeSpec(4, 1.0, 0.2))
+        assert family.h.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "sites,name",
+        [
+            # one on-site energy off: breaks both translations, x is checked first
+            ([0], "[h, sx]"),
+            # the on-site energies of the whole first block (p = 0) off:
+            # invariant along x, not along y
+            (list(range(5)), "[h, sy]"),
+        ],
+    )
+    def test_corrupted_stencil_fails_commutator_check(self, monkeypatch, sites, name):
+        def corrupted(spec):
+            h = build_hamiltonian(spec)
+            h[sites, sites] += 1.0
+            return h
+
+        monkeypatch.setattr(model, "build_hamiltonian", corrupted)
+        with pytest.raises(AssertionError, match=re.escape(name)):
+            build_family(LatticeSpec(5, 1.0, 0.2))
+
+    def test_dense_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                build_family(LatticeSpec(91, 1.0, 0.2))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestMatrixFreeOperators:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_bit_identical_to_dense_matrices(self, n):
+        spec = LatticeSpec(n, 1.375, -0.625)
+        family = build_family(spec)
+        h = build_hamiltonian(spec)
+        sx, sy = build_symmetries(spec)
+        v = dyadic_block(np.random.default_rng(n), n * n, 6)
+        for apply, dense in ((family.apply_h, h), (family.apply_sx, sx), (family.apply_sy, sy)):
+            assert np.array_equal(apply(v), dense @ v)
+            assert np.array_equal(apply(v[:, 0]), dense @ v[:, 0])
+            assert np.array_equal(apply(np.eye(n * n)), dense)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_generic_inputs_match_dense_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        spec = LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
+        family = build_family(spec)
+        v = rng.standard_normal((n * n, 6)) + 1j * rng.standard_normal((n * n, 6))
+        want = build_hamiltonian(spec) @ v
+        scale = (abs(spec.alpha) + 4 * abs(spec.t)) * np.abs(v).max()
+        assert np.abs(family.apply_h(v) - want).max() <= 8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_negative_step_is_transpose(self, n):
+        sx, sy = build_symmetries(LatticeSpec(n, 1.0, 0.2))
+        v = dyadic_block(np.random.default_rng(n), n * n, 4)
+        assert np.array_equal(translate(v, n, X_AXIS, -1), sx.T @ v)
+        assert np.array_equal(translate(v, n, Y_AXIS, -1), sy.T @ v)

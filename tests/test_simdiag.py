@@ -12,8 +12,11 @@ from tbbands.analytic import (
     analytic_eigenvalue,
     analytic_eigenvector,
 )
-from tbbands.model import LatticeSpec, build_family
+from tbbands.cli import VERIFY_THRESHOLDS
+from tbbands.eigen import default_gap_tol
+from tbbands.model import LatticeSpec, build_family, build_symmetries
 from tbbands.simdiag import (
+    STAGE_GAP_TOL,
     CandidateDeficitError,
     MomentumLabelError,
     RefinementError,
@@ -54,11 +57,11 @@ def analytic_sym_basis(spec):
     family = build_family(spec)
     labels = all_indices(spec.n)
     vectors = np.stack([analytic_eigenvector(spec, lab) for lab in labels], axis=1)
-    energies = np.real(np.einsum("ij,ij->j", vectors.conj(), family.h @ vectors))
+    energies = np.real(np.einsum("ij,ij->j", vectors.conj(), family.apply_h(vectors)))
     sym_eigs = np.stack(
         [
-            np.einsum("ij,ij->j", vectors.conj(), family.sx @ vectors),
-            np.einsum("ij,ij->j", vectors.conj(), family.sy @ vectors),
+            np.einsum("ij,ij->j", vectors.conj(), family.apply_sx(vectors)),
+            np.einsum("ij,ij->j", vectors.conj(), family.apply_sy(vectors)),
         ],
         axis=1,
     )
@@ -69,14 +72,16 @@ class TestCombinationMatrices:
     def test_stay_in_commuting_algebra(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
         k1, k2 = combination_matrices(family)
+        eye = np.eye(9)
         for k in (k1, k2):
-            for m in (family.h, family.sx, family.sy):
-                assert np.abs(k @ m - m @ k).max() <= 1e-13
+            for apply in (family.apply_h, family.apply_sx, family.apply_sy):
+                assert np.abs(k @ apply(eye) - apply(k)).max() <= 1e-13
 
     def test_t_zero_collapses_to_scaled_difference(self):
         family = build_family(LatticeSpec(4, 1.3, 0.0))
         k1, _ = combination_matrices(family)
-        assert np.array_equal(k1, 1.3 * (family.sx - family.sy))
+        eye = np.eye(16)
+        assert np.array_equal(k1, 1.3 * (family.apply_sx(eye) - family.apply_sy(eye)))
 
     def test_analytic_vectors_are_eigenvectors_n4(self):
         spec = LatticeSpec(4, 1.0, 0.2)
@@ -148,8 +153,8 @@ class TestMomentumLabels:
         family = build_family(spec)
         for idx in all_indices(4):
             v = analytic_eigenvector(spec, idx)
-            lam_x = np.vdot(v, family.sx @ v)
-            lam_y = np.vdot(v, family.sy @ v)
+            lam_x = np.vdot(v, family.apply_sx(v))
+            lam_y = np.vdot(v, family.apply_sy(v))
             want_x, want_y = translation_eigs(4, idx)
             assert abs(lam_x - want_x) <= 1e-14
             assert abs(lam_y - want_y) <= 1e-14
@@ -226,10 +231,10 @@ class TestRefine:
         basis = simultaneous_basis_refine(family)
         v = basis.vectors
         assert np.abs(v.conj().T @ v - np.eye(n * n)).max() <= 1e-10
-        for m in (family.h, family.sx, family.sy):
-            transformed = v.conj().T @ m @ v
+        for apply in (family.apply_h, family.apply_sx, family.apply_sy):
+            transformed = v.conj().T @ apply(v)
             off = transformed - np.diag(np.diag(transformed))
-            assert np.abs(off).max() <= 1e-10 * np.linalg.norm(m)
+            assert np.abs(off).max() <= 1e-10 * np.linalg.norm(apply(np.eye(n * n)))
 
     def test_energy_sum_matches_trace(self):
         spec = LatticeSpec(6, 0.8, 0.5)
@@ -237,6 +242,32 @@ class TestRefine:
         total = math.fsum(basis.energies)
         scale = spec.n**2 * (abs(spec.alpha) + 4 * abs(spec.t))
         assert abs(total - spec.n**2 * spec.alpha) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_stage_gap_tol_is_dense_default(self, n):
+        # default_gap_tol of the dense stage operators, to its last-ulp rounding
+        for s in build_symmetries(LatticeSpec(n, 1.0, 0.2)):
+            for part in ((s + s.conj().T) / 2.0, (s - s.conj().T) * -0.5j):
+                assert math.isclose(default_gap_tol(part), STAGE_GAP_TOL, rel_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "alpha,t",
+        # the first pair is an input whose running-sum energies breached the
+        # bound (1.24x); the rest are seeded draws from the benchmark's region
+        [(1.2562154349235621, -1.365429370315859)]
+        + [
+            (float(a), float(b))
+            for a, b in zip(
+                np.random.default_rng(30).uniform(-3.0, 3.0, 4),
+                np.random.default_rng(31).uniform(0.05, 1.5, 4) * [1, -1, 1, -1],
+            )
+        ],
+    )
+    def test_eigenvalue_error_margin_n30(self, alpha, t):
+        spec = LatticeSpec(30, alpha, t)
+        family = build_family(spec)
+        report = verify_basis(simultaneous_basis_refine(family), family, spec)
+        assert report.max_eigenvalue_error <= 0.5 * VERIFY_THRESHOLDS["max_eigenvalue_error"]
 
     def test_unresolvable_gap_tol_fails_loudly(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
@@ -293,6 +324,17 @@ class TestVerifyBasis:
             sym_eigs=basis.sym_eigs[perm],
         )
         assert verify_basis(scrambled, family, spec) == verify_basis(basis, family, spec)
+
+    def test_memory_order_does_not_change_metrics(self):
+        spec = LatticeSpec(4, 1.0, 0.2)
+        family, basis = analytic_sym_basis(spec)
+        f_ordered = SymBasis(
+            vectors=np.asfortranarray(basis.vectors),
+            energies=basis.energies,
+            labels=basis.labels,
+            sym_eigs=basis.sym_eigs,
+        )
+        assert verify_basis(f_ordered, family, spec) == verify_basis(basis, family, spec)
 
     def test_rejects_incomplete_basis(self):
         spec = LatticeSpec(3, 1.0, 0.2)
