@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eigen import cluster_eigenvalues
 from .model import LatticeSpec
 
 
@@ -69,7 +70,7 @@ def analytic_eigenvector(spec: LatticeSpec, idx: MomentumIndex) -> np.ndarray:
     steps = np.arange(n)
     block_phase = np.exp(2j * math.pi * r * steps / n)
     site_phase = np.exp(2j * math.pi * s * steps / n)
-    return np.kron(block_phase, site_phase) / n
+    return np.outer(block_phase, site_phase).ravel() / n
 
 
 def analytic_eigenpair(spec: LatticeSpec, idx: MomentumIndex) -> AnalyticEigenpair:
@@ -113,11 +114,7 @@ def degeneracy_census(
         for r in range(spec.n)
         for s in range(spec.n)
     )
-    census: list[tuple[float, int]] = []
-    start = 0
-    for stop in range(1, len(energies) + 1):
-        if stop == len(energies) or energies[stop] - energies[stop - 1] > tol:
-            level = energies[start:stop]
-            census.append((math.fsum(level) / len(level), len(level)))
-            start = stop
-    return census
+    return [
+        (math.fsum(energies[c.start : c.stop]) / len(c), len(c))
+        for c in cluster_eigenvalues(np.array(energies), tol).clusters
+    ]

@@ -25,6 +25,9 @@ RESIDUAL_C = 100.0
 class EigenDecomposition:
     """Eigenvalues ascending; column j of ``vectors`` pairs with ``values[j]``.
 
+    For a stacked input the leading axes index the matrices: ``values`` is
+    (..., dim) and ``vectors`` is (..., dim, dim).
+
     Guarantees (c = RESIDUAL_C, eps = machine epsilon, A the symmetrized
     input): ``||A v_j - w_j v_j||_2 <= c*eps*||A||_F`` and
     ``max|V* V - I| <= c*eps*dim``.
@@ -35,7 +38,7 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +56,13 @@ def default_gap_tol(a: np.ndarray) -> float:
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix or a (..., k, k) stack of them.
 
-    The input must be Hermitian to within ``HERMITICITY_RTOL * ||a||_F``; it is
-    then symmetrized as (A + A*)/2 before the LAPACK call, so the decomposed
-    matrix is exactly Hermitian. Deterministic for identical input.
+    Each matrix must be Hermitian to within ``HERMITICITY_RTOL * ||a||_F`` of
+    its own norm; it is then symmetrized as (A + A*)/2 before the LAPACK call,
+    so every decomposed matrix is exactly Hermitian. A stack is decomposed in
+    one call, with the same result as decomposing its matrices one by one.
+    Deterministic for identical input.
 
     Raises
     ------
@@ -67,18 +72,20 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
         The LAPACK iteration failed to converge; no partial result is returned.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required (got shape {a.shape})")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"square matrix or stack of them required (got shape {a.shape})")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    defect = np.linalg.norm(a - a.conj().T)
-    if defect > HERMITICITY_RTOL * np.linalg.norm(a):
+    adjoint = a.conj().swapaxes(-1, -2)
+    defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
+    bad = np.flatnonzero(defect > HERMITICITY_RTOL * np.linalg.norm(a, axis=(-2, -1)))
+    if bad.size:
+        where = "" if a.ndim == 2 else f" {bad[0]} of the stack (flat index)"
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.0e} * ||A||_F"
+            f"matrix{where} is not Hermitian: defect {defect.flat[bad[0]]:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * ||A||_F"
         )
-    symmetrized = (a + a.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(symmetrized)
+    values, vectors = np.linalg.eigh((a + adjoint) / 2.0)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -95,10 +102,7 @@ def cluster_eigenvalues(values: np.ndarray, gap_tol: float) -> EigenvalueCluster
         raise ValueError(f"gap_tol must be > 0 (got {gap_tol})")
     if values.size > 1 and np.any(np.diff(values) < 0):
         raise ValueError("values must be sorted ascending")
-    clusters: list[range] = []
-    start = 0
-    for stop in range(1, values.size + 1):
-        if stop == values.size or values[stop] - values[stop - 1] > gap_tol:
-            clusters.append(range(start, stop))
-            start = stop
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
+    stops = np.append(starts[1:], values.size)
+    clusters = [range(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
     return EigenvalueClusters(clusters=clusters, gap_tol=gap_tol)

@@ -5,10 +5,12 @@ orthonormal basis inside every degenerate eigenspace, and such vectors carry
 no momentum label. The routines here resolve the ambiguity in two ways:
 
 * :func:`simultaneous_basis_refine` (default): diagonalize H, then within each
-  degenerate cluster successively diagonalize the projections of the Hermitian
-  and anti-Hermitian parts of S_x, then of S_y. Only Hermitian
-  eigendecompositions are ever needed, and the cosine/sine pair pins each
-  translation eigenvalue uniquely on the unit circle.
+  degenerate cluster diagonalize the projection of one phase-rotated
+  Hermitian part of S_x, then of S_y. Only Hermitian eigendecompositions are
+  ever needed: the rotated part (e^{i phi} S + e^{-i phi} S*)/2 with
+  phi = pi/(2n) has n distinct eigenvalues, so one stage per axis pins each
+  translation eigenvalue uniquely on the unit circle. All blocks of one size
+  are decomposed together in one stacked call.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
@@ -56,8 +58,9 @@ ANGLE_RTOL = 1e-4
 UNIT_CIRCLE_TOL = 1e-8
 
 # Gap tolerance of the translation stages: default_gap_tol of each stage
-# operator (S +- S*)/2, whose Frobenius scale ||M||_F / sqrt(dim) is sqrt(1/2)
-# for every n >= 3 (two entries of modulus 1/2 per row).
+# operator (e^{i phi} S + e^{-i phi} S*)/2, whose Frobenius scale
+# ||M||_F / sqrt(dim) is sqrt(1/2) for every n >= 3 (two entries of modulus
+# 1/2 per row).
 STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
 
 
@@ -132,49 +135,76 @@ def combination_matrices(
     return h @ (sx - sy), sx @ (h - sy)
 
 
-def phase_anchor(v: np.ndarray) -> int:
-    """Index of the entry whose phase gets rotated away by :func:`fix_phase`."""
-    if abs(v[0]) >= ANCHOR_FLOOR / math.sqrt(v.shape[0]):
-        return 0
-    return int(np.argmax(np.abs(v)))
+def phase_anchor(v: np.ndarray) -> int | np.ndarray:
+    """Index of the entry whose phase gets rotated away by :func:`fix_phase`.
+
+    The first entry, unless it is below ANCHOR_FLOOR/sqrt(dim); then the
+    largest-modulus entry. For a (dim, k) block, one index per column.
+    """
+    v = np.asarray(v)
+    modulus = np.abs(v)
+    anchor = np.where(
+        modulus[0] >= ANCHOR_FLOOR / math.sqrt(v.shape[0]), 0, np.argmax(modulus, axis=0)
+    )
+    return int(anchor) if v.ndim == 1 else anchor
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector's global phase so its anchor entry is real positive.
+    """Rotate the global phase of a unit vector, or of each column of a (dim, k)
+    block, so that its anchor entry is real positive.
 
     The anchor is the first entry unless that is numerically zero (see
     :func:`phase_anchor`), in which case the largest-modulus entry is used
-    instead. An already-real-positive anchor leaves the vector unchanged.
+    instead. An already-real-positive anchor leaves the column unchanged.
     """
     v = np.asarray(v, dtype=complex)
-    if not np.any(v):
-        raise ValueError("zero vector has no phase to fix")
-    anchor = phase_anchor(v)
-    if anchor != 0:
-        logger.debug("phase anchor fell back to entry %d", anchor)
-    a = v[anchor]
-    return v * (np.conj(a) / abs(a))
+    block = v.reshape(v.shape[0], -1)
+    anchors = phase_anchor(block)
+    a = block[anchors, np.arange(block.shape[1])]
+    zero = np.flatnonzero(a == 0)
+    if zero.size:
+        raise ValueError(f"column {zero[0]} is a zero vector and has no phase to fix")
+    fallbacks = np.count_nonzero(anchors)
+    if fallbacks:
+        logger.debug("phase anchor fell back to the largest entry in %d columns", fallbacks)
+    return (block * (a.conj() / np.abs(a))).reshape(v.shape)
 
 
-def _phase_index(
-    lam: complex, n: int, angle_tol: float, axis: str, column: int
-) -> int:
-    """Map a unit-circle translation eigenvalue to its integer grid index."""
-    if abs(abs(lam) - 1.0) > UNIT_CIRCLE_TOL:
-        raise MomentumLabelError(
-            f"column {column}: {axis} eigenvalue has modulus {abs(lam):.6f}, "
-            "off the unit circle (basis is not simultaneous)"
-        )
-    # The translation advances the site index, so a momentum-k mode picks up
-    # exp(-2*pi*i*k/n); negate the phase to recover k.
-    grid_pos = -n * np.angle(lam) / (2.0 * math.pi)
-    k = round(grid_pos)
-    if abs(grid_pos - k) * (2.0 * math.pi / n) > angle_tol:
-        raise MomentumLabelError(
-            f"column {column}: {axis} eigenvalue angle is "
-            f"{abs(grid_pos - k):.3e} grid units off the 2*pi/{n} lattice"
-        )
-    return int(k % n)
+def _momentum_indices(
+    sym_eigs: np.ndarray, n: int, angle_tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer labels (r, s) of the rows of a (k, 2) array of (x, y) translation eigenvalues.
+
+    The x-translation resolves s and the y-translation r. Raises
+    :class:`MomentumLabelError` naming the first column whose eigenvalue is
+    off the unit circle or off the 2*pi/n grid.
+    """
+    if angle_tol is None:
+        angle_tol = (2.0 * math.pi / n) * ANGLE_RTOL
+    indices = []
+    for lam, axis in ((sym_eigs[:, 0], "x-translation"), (sym_eigs[:, 1], "y-translation")):
+        modulus = np.abs(lam)
+        off_circle = np.flatnonzero(~(np.abs(modulus - 1.0) <= UNIT_CIRCLE_TOL))
+        if off_circle.size:
+            j = off_circle[0]
+            raise MomentumLabelError(
+                f"column {j}: {axis} eigenvalue has modulus {modulus[j]:.6f}, "
+                "off the unit circle (basis is not simultaneous)"
+            )
+        # The translation advances the site index, so a momentum-k mode picks
+        # up exp(-2*pi*i*k/n); negate the phase to recover k.
+        grid_pos = -n * np.angle(lam) / (2.0 * math.pi)
+        k = np.round(grid_pos)
+        off_grid = np.flatnonzero(np.abs(grid_pos - k) * (2.0 * math.pi / n) > angle_tol)
+        if off_grid.size:
+            j = off_grid[0]
+            raise MomentumLabelError(
+                f"column {j}: {axis} eigenvalue angle is "
+                f"{abs(grid_pos[j] - k[j]):.3e} grid units off the 2*pi/{n} lattice"
+            )
+        indices.append(k.astype(int) % n)
+    s, r = indices
+    return r, s
 
 
 def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
@@ -185,6 +215,17 @@ def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
     O(dim eps), which at n = 30 uses most of the eigenvalue-error bound.
     """
     return np.ascontiguousarray((v.conj() * applied).T).sum(axis=1)
+
+
+def _translation_eigs(v: np.ndarray, family: CommutingFamily) -> np.ndarray:
+    """(k, 2) Rayleigh quotients of the columns under (S_x, S_y)."""
+    return np.stack(
+        [
+            _rayleigh_quotients(v, family.apply_sx(v)),
+            _rayleigh_quotients(v, family.apply_sy(v)),
+        ],
+        axis=1,
+    )
 
 
 def momentum_labels(
@@ -200,17 +241,8 @@ def momentum_labels(
     at n=4; see tests/test_simdiag.py.
     """
     v = np.asarray(basis_vectors)
-    n = family.n
-    if angle_tol is None:
-        angle_tol = (2.0 * math.pi / n) * ANGLE_RTOL
-    lam_x = _rayleigh_quotients(v, family.apply_sx(v))
-    lam_y = _rayleigh_quotients(v, family.apply_sy(v))
-    labels = []
-    for j in range(v.shape[1]):
-        s = _phase_index(lam_x[j], n, angle_tol, "x-translation", j)
-        r = _phase_index(lam_y[j], n, angle_tol, "y-translation", j)
-        labels.append(MomentumIndex(r, s))
-    return labels
+    r, s = _momentum_indices(_translation_eigs(v, family), family.n, angle_tol)
+    return list(map(MomentumIndex, r.tolist(), s.tolist()))
 
 
 def _refine_within_blocks(
@@ -222,66 +254,71 @@ def _refine_within_blocks(
     """Diagonalize the projection of one Hermitian operator inside each block.
 
     ``apply_operator`` maps a (dim, k) block of columns to the operator times
-    it; it is applied once to all columns, and each block projects its own
-    columns of the result. Rotates the columns of ``vectors`` in place; blocks
-    of size one are left untouched. Returns the refined block partition.
+    it; it is applied once to all columns. The blocks of each size k > 1 are
+    gathered into an (m, dim, k) stack, projected, decomposed by one stacked
+    :func:`eig_hermitian` call and rotated back into their own columns of
+    ``vectors``, in place. Blocks of size one are left untouched. Returns the
+    refined block partition, in column order.
     """
     applied = apply_operator(vectors)
-    refined: list[range] = []
-    for block in blocks:
-        a, b = block.start, block.stop
-        if b - a == 1:
-            refined.append(block)
-            continue
-        cols = vectors[:, a:b]
-        projected = cols.conj().T @ applied[:, a:b]
-        projected = (projected + projected.conj().T) / 2.0
+    sizes = np.array([len(b) for b in blocks])
+    starts = np.array([b.start for b in blocks])
+    # new_block[j]: column j opens a block of the refined partition
+    new_block = np.zeros(vectors.shape[1], dtype=bool)
+    new_block[starts] = True
+    for k in np.unique(sizes[sizes > 1]).tolist():
+        cols = starts[sizes == k, None] + np.arange(k)
+        stack = vectors[:, cols].transpose(1, 0, 2)
+        projected = stack.conj().transpose(0, 2, 1) @ applied[:, cols].transpose(1, 0, 2)
+        projected = (projected + projected.conj().transpose(0, 2, 1)) / 2.0
         sub = eig_hermitian(projected)
-        vectors[:, a:b] = cols @ sub.vectors
-        for piece in cluster_eigenvalues(sub.values, gap_tol).clusters:
-            refined.append(range(a + piece.start, a + piece.stop))
-    return refined
+        vectors[:, cols] = (stack @ sub.vectors).transpose(1, 0, 2)
+        new_block[cols[:, 1:]] = np.diff(sub.values, axis=1) > gap_tol
+    edges = np.append(np.flatnonzero(new_block), vectors.shape[1]).tolist()
+    return [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _symmetry_stages(family: CommutingFamily) -> list:
-    """Hermitian (S + S*)/2 and anti-Hermitian (S - S*)/2i parts of S_x then
-    S_y, in refinement order, each applied as two translations (S* = S^-1)."""
-    n = family.n
+def _symmetry_stages(n: int) -> list:
+    """One Hermitian stage operator per axis, S_x then S_y, in refinement order.
+
+    Each is M = (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n), applied
+    as two translations (S* = S^-1). A column with S-eigenvalue
+    exp(-2*pi*i*k/n) has M-eigenvalue cos(2*pi*k/n - phi), and two momenta
+    k != j could share it only if k + j = 1/2 (mod n): one stage pins the
+    whole translation eigenvalue.
+    """
+    rotation = 0.5 * np.exp(0.5j * math.pi / n)
     stages = []
     for axis in (X_AXIS, Y_AXIS):
 
-        def hermitian_part(v, axis=axis):
-            return (translate(v, n, axis, 1) + translate(v, n, axis, -1)) * 0.5
+        def rotated_part(v, axis=axis):
+            out = rotation * translate(v, n, axis, 1)
+            out += rotation.conjugate() * translate(v, n, axis, -1)
+            return out
 
-        def anti_hermitian_part(v, axis=axis):
-            return (translate(v, n, axis, 1) - translate(v, n, axis, -1)) * -0.5j
-
-        stages += [hermitian_part, anti_hermitian_part]
+        stages.append(rotated_part)
     return stages
 
 
 def _assemble(vectors: np.ndarray, family: CommutingFamily) -> SymBasis:
     """Phase-fix, label, and sort a complete set of simultaneous eigenvectors."""
-    dim = family.dim
-    for j in range(dim):
-        vectors[:, j] = fix_phase(vectors[:, j])
-    labels = momentum_labels(vectors, family)
-    if len(set(labels)) != dim:
+    n, dim = family.n, family.dim
+    vectors = fix_phase(vectors)
+    sym_eigs = _translation_eigs(vectors, family)
+    r, s = _momentum_indices(sym_eigs, n)
+    codes = r * n + s
+    collisions = dim - np.unique(codes).size
+    if collisions:
         raise MomentumLabelError(
-            f"momentum labels are not bijective: {dim - len(set(labels))} collisions"
+            f"momentum labels are not bijective: {collisions} collisions"
         )
-    order = sorted(range(dim), key=lambda j: labels[j])
+    order = np.argsort(codes)
     vectors = np.ascontiguousarray(vectors[:, order])
-    labels = [labels[j] for j in order]
+    labels = [MomentumIndex(*divmod(code, n)) for code in codes[order].tolist()]
     energies = _rayleigh_quotients(vectors, family.apply_h(vectors)).real
-    sym_eigs = np.stack(
-        [
-            _rayleigh_quotients(vectors, family.apply_sx(vectors)),
-            _rayleigh_quotients(vectors, family.apply_sy(vectors)),
-        ],
-        axis=1,
+    return SymBasis(
+        vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs[order]
     )
-    return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
 def simultaneous_basis_refine(
@@ -290,10 +327,11 @@ def simultaneous_basis_refine(
     """Simultaneous eigenbasis by sequential subspace refinement.
 
     Stages: (1) diagonalize H and cluster its eigenvalues; (2) inside every
-    degenerate cluster diagonalize the projected Hermitian part of S_x;
-    (3) inside remaining sub-clusters the projected anti-Hermitian part of
-    S_x; (4) repeat with S_y. Every stage uses only Hermitian
-    eigendecompositions of projected blocks.
+    degenerate cluster diagonalize the projection of the phase-rotated
+    Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose
+    eigenvalue fixes the x-translation eigenvalue; (3) inside remaining
+    sub-clusters the same for S_y. Every stage uses only Hermitian
+    eigendecompositions of projected blocks, one stacked call per block size.
 
     Parameters
     ----------
@@ -301,7 +339,7 @@ def simultaneous_basis_refine(
     gap_tol : float, optional
         Eigenvalue gap below which values count as degenerate. When omitted,
         each stage uses 1e-9 * ||M||_F / sqrt(dim) of its stage operator M
-        (``STAGE_GAP_TOL`` for the translation parts).
+        (``STAGE_GAP_TOL`` for the rotated translation parts).
 
     Raises
     ------
@@ -316,7 +354,7 @@ def simultaneous_basis_refine(
     tol_h = gap_tol if gap_tol is not None else default_gap_tol(family.h)
     blocks = cluster_eigenvalues(base.values, tol_h).clusters
     tol = gap_tol if gap_tol is not None else STAGE_GAP_TOL
-    for apply_operator in _symmetry_stages(family):
+    for apply_operator in _symmetry_stages(family.n):
         blocks = _refine_within_blocks(vectors, blocks, apply_operator, tol)
     stuck = [(b.start, b.stop) for b in blocks if len(b) > 1]
     if stuck:
@@ -406,13 +444,11 @@ def simultaneous_basis_combination(
         [_normal_eigenbasis(k1, gap_tol), _normal_eigenbasis(k2, gap_tol)]
     )
     accepted = filter_simultaneous(candidates.T, family, filter_tol)
-    n = family.n
-    angle_tol = (2.0 * math.pi / n) * ANGLE_RTOL
+    sym_eigs = np.array([(sx_eig, sy_eig) for _v, _h, sx_eig, sy_eig in accepted], dtype=complex)
+    r, s = _momentum_indices(sym_eigs.reshape(-1, 2), family.n)
     chosen: dict[MomentumIndex, np.ndarray] = {}
-    for column, (v, _h_eig, sx_eig, sy_eig) in enumerate(accepted):
-        s = _phase_index(sx_eig, n, angle_tol, "x-translation", column)
-        r = _phase_index(sy_eig, n, angle_tol, "y-translation", column)
-        chosen.setdefault(MomentumIndex(r, s), v)
+    for label, (v, *_eigs) in zip(map(MomentumIndex, r.tolist(), s.tolist()), accepted):
+        chosen.setdefault(label, v)
     dim = family.dim
     if len(chosen) < dim:
         raise CandidateDeficitError(
@@ -448,21 +484,20 @@ def verify_basis(
     ):
         residuals[key] = float(np.linalg.norm(apply_operator(v) - v * eigs, axis=0).max())
     orth = float(np.abs(v.conj().T @ v - np.eye(dim)).max())
-    eig_err = 0.0
-    entry_err = 0.0
-    for j, label in enumerate(basis.labels):
-        eig_err = max(eig_err, abs(basis.energies[j] - analytic_eigenvalue(spec, label)))
-        exact = analytic_eigenvector(spec, label)
-        overlap = np.vdot(exact, v[:, j])
-        if abs(overlap) > 0.0:
-            exact = exact * (overlap / abs(overlap))
-        diff = exact - v[:, j]
-        entry_err = max(entry_err, np.abs(diff.real).max(), np.abs(diff.imag).max())
+    exact_energies = np.array([analytic_eigenvalue(spec, label) for label in basis.labels])
+    eig_err = float(np.abs(basis.energies - exact_energies).max())
+    exact = np.stack([analytic_eigenvector(spec, label) for label in basis.labels], axis=1)
+    # Align each oracle vector's phase to its computed column.
+    overlap = _rayleigh_quotients(exact, v)
+    modulus = np.abs(overlap)
+    exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
+    exact -= v
+    entry_err = float(max(np.abs(exact.real).max(), np.abs(exact.imag).max()))
     return VerificationReport(
         max_residual_h=residuals["h"],
         max_residual_sx=residuals["sx"],
         max_residual_sy=residuals["sy"],
         max_orthogonality_defect=orth,
-        max_eigenvalue_error=float(eig_err),
-        max_entrywise_vector_error=float(entry_err),
+        max_eigenvalue_error=eig_err,
+        max_entrywise_vector_error=entry_err,
     )

@@ -96,6 +96,14 @@ class TestEigenvector:
             assert v[0] == 0.25
 
     @given(index_cases())
+    def test_equals_kronecker_product_of_ring_modes(self, case):
+        n, r, s = case
+        steps = np.arange(n)
+        want = np.kron(np.exp(2j * math.pi * r * steps / n), np.exp(2j * math.pi * s * steps / n)) / n
+        got = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), MomentumIndex(r, s))
+        assert np.array_equal(got, want)
+
+    @given(index_cases())
     def test_constant_modulus(self, case):
         n, r, s = case
         v = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), MomentumIndex(r, s))

@@ -75,6 +75,31 @@ class TestEigHermitian:
         dec = eig_hermitian(a)
         assert dec.values.shape == (2,)
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_stack_equals_per_matrix_calls(self, k):
+        rng = np.random.default_rng(k)
+        raw = rng.standard_normal((7, k, k)) + 1j * rng.standard_normal((7, k, k))
+        stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
+        dec = eig_hermitian(stack)
+        assert dec.values.shape == (7, k) and dec.vectors.shape == (7, k, k)
+        assert dec.dim == k
+        for i in range(7):
+            one = eig_hermitian(stack[i])
+            assert np.array_equal(dec.values[i], one.values)
+            assert np.array_equal(dec.vectors[i], one.vectors)
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        stack = np.tile(np.eye(3, dtype=complex), (5, 1, 1))
+        stack[3, 0, 2] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(stack)
+
+    def test_stack_checks_each_member_against_its_own_norm(self):
+        # a defect negligible next to a large member is not next to a small one
+        stack = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-9], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(stack)
+
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.zeros((2, 3)))

@@ -13,7 +13,8 @@ from tbbands.analytic import (
     analytic_eigenvector,
 )
 from tbbands.cli import VERIFY_THRESHOLDS
-from tbbands.eigen import default_gap_tol
+from tbbands import simdiag
+from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
 from tbbands.model import LatticeSpec, build_family, build_symmetries
 from tbbands.simdiag import (
     STAGE_GAP_TOL,
@@ -120,6 +121,23 @@ class TestFixPhase:
         with pytest.raises(ValueError):
             fix_phase(np.zeros(4, dtype=complex))
 
+    def test_block_equals_column_by_column(self, caplog):
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        block[0, [1, 3]] = 1e-9  # two anchor fallbacks
+        with caplog.at_level("DEBUG", logger="tbbands.simdiag"):
+            out = fix_phase(block)
+        assert "in 2 columns" in caplog.text
+        assert list(phase_anchor(block)) == [phase_anchor(block[:, j]) for j in range(5)]
+        for j in range(5):
+            assert np.array_equal(out[:, j], fix_phase(block[:, j]))
+
+    def test_block_names_zero_column(self):
+        block = np.eye(4, dtype=complex)
+        block[:, 2] = 0.0
+        with pytest.raises(ValueError, match="column 2"):
+            fix_phase(block)
+
     @settings(max_examples=60)
     @given(
         hnp.arrays(
@@ -171,6 +189,25 @@ class TestMomentumLabels:
         family = build_family(LatticeSpec(3, 1.0, 0.2))
         with pytest.raises(MomentumLabelError):
             momentum_labels(np.eye(9, dtype=complex), family)
+
+    def test_error_names_first_offending_column(self):
+        spec = LatticeSpec(4, 1.0, 0.2)
+        family = build_family(spec)
+        basis = np.stack([analytic_eigenvector(spec, idx) for idx in all_indices(4)], axis=1)
+        basis[:, 5] = np.eye(16)[:, 0]
+        basis[:, 9] = np.eye(16)[:, 1]
+        with pytest.raises(MomentumLabelError, match="column 5: x-translation"):
+            momentum_labels(basis, family)
+
+    def test_rejects_off_grid_angle(self):
+        n = 4
+        on_grid = np.exp(-2j * math.pi * np.array([[1, 2], [3, 0], [0, 1]]) / n)
+        r, s = simdiag._momentum_indices(on_grid, n)
+        assert r.tolist() == [2, 0, 1] and s.tolist() == [1, 3, 0]
+        off_grid = on_grid.copy()
+        off_grid[2, 1] *= np.exp(0.3j)
+        with pytest.raises(MomentumLabelError, match="column 2: y-translation .* grid units"):
+            simdiag._momentum_indices(off_grid, n)
 
 
 class TestFilterSimultaneous:
@@ -245,10 +282,59 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_stage_gap_tol_is_dense_default(self, n):
-        # default_gap_tol of the dense stage operators, to its last-ulp rounding
-        for s in build_symmetries(LatticeSpec(n, 1.0, 0.2)):
-            for part in ((s + s.conj().T) / 2.0, (s - s.conj().T) * -0.5j):
-                assert math.isclose(default_gap_tol(part), STAGE_GAP_TOL, rel_tol=1e-15)
+        # default_gap_tol of the dense stage operators, to its last-ulp rounding;
+        # each stage is (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n)
+        rotation = np.exp(0.5j * math.pi / n)
+        stages = simdiag._symmetry_stages(n)
+        assert len(stages) == 2
+        for stage, s in zip(stages, build_symmetries(LatticeSpec(n, 1.0, 0.2))):
+            dense = stage(np.eye(n * n, dtype=complex))
+            assert np.abs(dense - (rotation * s + rotation.conjugate() * s.T) / 2.0).max() <= 1e-16
+            assert np.array_equal(dense, dense.conj().T)
+            assert math.isclose(default_gap_tol(dense), STAGE_GAP_TOL, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 91))
+    def test_rotated_stage_separates_every_momentum(self, n):
+        # Each stage, applied to the n plane waves along its axis, must give
+        # n eigenvalues at least 1e-3 apart (six orders above STAGE_GAP_TOL).
+        steps = np.arange(n)
+        waves = np.exp(2j * math.pi * np.outer(steps, steps) / n) / n
+        for stage, modes in zip(
+            simdiag._symmetry_stages(n),
+            (np.tile(waves, (n, 1)), np.repeat(waves, n, axis=0)),
+        ):
+            applied = stage(modes)
+            values = np.einsum("ij,ij->j", modes.conj(), applied)
+            assert np.abs(applied - modes * values).max() <= 1e-14
+            assert np.abs(values.imag).max() <= 1e-15
+            assert np.diff(np.sort(values.real)).min() >= 1e-3
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 13])
+    def test_t_zero_stages_leave_singletons(self, n):
+        family = build_family(LatticeSpec(n, 1.3, 0.0))
+        vectors = np.array(eig_hermitian(family.h).vectors, dtype=complex)
+        blocks = [range(0, n * n)]
+        for stage in simdiag._symmetry_stages(n):
+            blocks = simdiag._refine_within_blocks(vectors, blocks, stage, STAGE_GAP_TOL)
+        assert blocks == [range(j, j + 1) for j in range(n * n)]
+
+    @pytest.mark.parametrize("n,alpha,t", [(8, 1.0, 0.2), (12, -0.7, 1.1), (16, 0.0, 0.3)])
+    def test_one_block_eigh_per_size_and_stage(self, n, alpha, t, monkeypatch):
+        family = build_family(LatticeSpec(n, alpha, t))
+        shapes = []
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eig_hermitian(a)
+
+        monkeypatch.setattr(simdiag, "eig_hermitian", counted)
+        simultaneous_basis_refine(family)
+        assert shapes[0] == (n * n, n * n)
+        sizes = [shape[-1] for shape in shapes[1:]]
+        assert all(len(shape) == 3 for shape in shapes[1:])
+        assert all(sizes.count(k) <= len(simdiag._symmetry_stages(n)) for k in sizes)
+        h_blocks = cluster_eigenvalues(eig_hermitian(family.h).values, default_gap_tol(family.h))
+        assert len(shapes) - 1 <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
 
     @pytest.mark.parametrize(
         "alpha,t",
