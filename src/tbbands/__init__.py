@@ -1,7 +1,6 @@
 """Tight-binding Hamiltonians on periodic square lattices with momentum-labelled eigenbases."""
 
 from .analytic import (
-    AnalyticEigenpair,
     Momentum,
     MomentumIndex,
     analytic_eigenpair,
@@ -21,19 +20,16 @@ from .bands import (
 )
 from .eigen import (
     EigenDecomposition,
-    EigenvalueClusters,
     cluster_eigenvalues,
     eig_hermitian,
 )
 from .model import (
     CommutingFamily,
     LatticeSpec,
-    build_chain,
     build_family,
     build_hamiltonian,
     build_shift,
     build_symmetries,
-    kron,
 )
 from .simdiag import (
     CandidateDeficitError,
@@ -42,7 +38,6 @@ from .simdiag import (
     SimultaneousDiagonalizationError,
     SymBasis,
     VerificationReport,
-    combination_matrices,
     filter_simultaneous,
     fix_phase,
     momentum_labels,
@@ -54,12 +49,10 @@ from .simdiag import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticEigenpair",
     "BandData",
     "CandidateDeficitError",
     "CommutingFamily",
     "EigenDecomposition",
-    "EigenvalueClusters",
     "LatticeSpec",
     "Momentum",
     "MomentumIndex",
@@ -73,13 +66,11 @@ __all__ = [
     "analytic_eigenpair",
     "analytic_eigenvalue",
     "analytic_eigenvector",
-    "build_chain",
     "build_family",
     "build_hamiltonian",
     "build_shift",
     "build_symmetries",
     "cluster_eigenvalues",
-    "combination_matrices",
     "compare_to_analytic",
     "compute_basis",
     "compute_dispersion",
@@ -89,7 +80,6 @@ __all__ = [
     "eig_hermitian",
     "filter_simultaneous",
     "fix_phase",
-    "kron",
     "momentum_labels",
     "simultaneous_basis_combination",
     "simultaneous_basis_refine",

@@ -127,7 +127,7 @@ def compare_to_analytic(band: BandData, spec: LatticeSpec) -> np.ndarray:
     """
     if band.r.shape[0] != spec.dim:
         raise ValueError(f"band has {band.r.shape[0]} rows, expected {spec.dim}")
+    exact = analytic_dispersion(spec).energy.reshape(spec.n, spec.n)
     grid = np.zeros((spec.n, spec.n))
-    for r, s, _kx, _ky, energy in band.rows:
-        grid[r, s] = abs(energy - analytic_eigenvalue(spec, MomentumIndex(r, s)))
+    grid[band.r, band.s] = np.abs(band.energy - exact[band.r, band.s])
     return grid

@@ -157,7 +157,9 @@ _COMMANDS = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, with_method: bool) -> None:
+def _add_common_flags(
+    sub: argparse.ArgumentParser, with_method: bool, with_vectors: bool
+) -> None:
     sub.add_argument("--n", type=int, required=True, help="lattice sites per dimension (must be >= 3)")
     sub.add_argument("--alpha", type=float, default=1.0, help="on-site energy (default 1.0)")
     sub.add_argument("--t", type=float, default=0.2, help="hopping amplitude (default 0.2)")
@@ -169,6 +171,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_method: bool) -> None:
         )
         sub.add_argument("--gap-tol", type=float, default=None, help="eigenvalue degeneracy gap")
         sub.add_argument("--filter-tol", type=float, default=None, help="simultaneity residual threshold (combination method)")
+    if with_vectors:
         sub.add_argument("--vectors", default=None, help="also write eigenvectors (interleaved real/imag CSV, one per line)")
 
 
@@ -179,8 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
         "symmetry-labelled dispersion, and verification against the closed-form solution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common_flags(sub.add_parser("spectrum", help="sorted Hamiltonian eigenvalues"), with_method=False)
-    _add_common_flags(sub.add_parser("bands", help="momentum-labelled dispersion"), with_method=True)
+    _add_common_flags(
+        sub.add_parser("spectrum", help="sorted Hamiltonian eigenvalues"),
+        with_method=False, with_vectors=False,
+    )
+    _add_common_flags(
+        sub.add_parser("bands", help="momentum-labelled dispersion"),
+        with_method=True, with_vectors=True,
+    )
     thresholds = ", ".join(f"{k} <= {v:g}" for k, v in VERIFY_THRESHOLDS.items())
     _add_common_flags(
         sub.add_parser(
@@ -189,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
             description="Prints six key=value metrics; exits 0 only if all "
             f"stay below the built-in thresholds: {thresholds}. Exits 3 on a breach.",
         ),
-        with_method=True,
+        with_method=True, with_vectors=True,
     )
-    _add_common_flags(sub.add_parser("analytic", help="closed-form dispersion"), with_method=True)
+    _add_common_flags(
+        sub.add_parser("analytic", help="closed-form dispersion"),
+        with_method=False, with_vectors=True,
+    )
     return parser
 
 

@@ -4,13 +4,16 @@ A generic dense eigensolver applied to H alone returns an arbitrary
 orthonormal basis inside every degenerate eigenspace, and such vectors carry
 no momentum label. The routines here resolve the ambiguity in two ways:
 
-* :func:`simultaneous_basis_refine` (default): diagonalize H, then within each
-  degenerate cluster diagonalize the projection of one phase-rotated
-  Hermitian part of S_x, then of S_y. Only Hermitian eigendecompositions are
-  ever needed: the rotated part (e^{i phi} S + e^{-i phi} S*)/2 with
-  phi = pi/(2n) has n distinct eigenvalues, so one stage per axis pins each
-  translation eigenvalue uniquely on the unit circle. All blocks of one size
-  are decomposed together in one stacked call.
+* :func:`simultaneous_basis_refine` (default): diagonalize the real H, then
+  within each degenerate cluster diagonalize the projection of one
+  phase-rotated Hermitian part of S_x, then of S_y. Only Hermitian
+  eigendecompositions are ever needed: the rotated part
+  (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n) has n distinct
+  eigenvalues, so one stage per axis pins each translation eigenvalue uniquely
+  on the unit circle. S_x and S_y are projected once onto each cluster of H's
+  eigenvectors; the stages then act on the clusters' k x k coordinates, all
+  blocks of one size in one stacked call, and the complex basis is formed
+  once, from the final coordinates.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
@@ -24,6 +27,8 @@ positive) and a momentum label recovered from its translation eigenvalues.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -44,8 +49,12 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 # Below ANCHOR_FLOOR/sqrt(dim) the first entry is too small to define a phase;
-# fall back to the largest-modulus entry.
+# fall back to the first entry whose modulus is within ANCHOR_TIE_RTOL of the
+# largest. Rotating a column moves its moduli by a few ulps, so an exact
+# argmax could jump between near-equal entries and fix_phase would not be
+# idempotent.
 ANCHOR_FLOOR = 1e-6
+ANCHOR_TIE_RTOL = 1e-8
 
 # Residual acceptance threshold factor for filter_simultaneous: 1e-8 * ||H||_F.
 FILTER_RTOL = 1e-8
@@ -139,26 +148,36 @@ def phase_anchor(v: np.ndarray) -> int | np.ndarray:
     """Index of the entry whose phase gets rotated away by :func:`fix_phase`.
 
     The first entry, unless it is below ANCHOR_FLOOR/sqrt(dim); then the
-    largest-modulus entry. For a (dim, k) block, one index per column.
+    first entry within ANCHOR_TIE_RTOL of the largest modulus. For a (dim, k)
+    block, one index per column.
     """
     v = np.asarray(v)
-    modulus = np.abs(v)
-    anchor = np.where(
-        modulus[0] >= ANCHOR_FLOOR / math.sqrt(v.shape[0]), 0, np.argmax(modulus, axis=0)
-    )
-    return int(anchor) if v.ndim == 1 else anchor
+    block = v.reshape(v.shape[0], -1)
+    anchor = np.zeros(block.shape[1], dtype=int)
+    tiny = np.flatnonzero(~(np.abs(block[0]) >= ANCHOR_FLOOR / math.sqrt(v.shape[0])))
+    if tiny.size:
+        modulus = np.abs(block[:, tiny])
+        near_largest = modulus >= (1.0 - ANCHOR_TIE_RTOL) * modulus.max(axis=0)
+        anchor[tiny] = np.argmax(near_largest, axis=0)
+    return int(anchor[0]) if v.ndim == 1 else anchor
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate the global phase of a unit vector, or of each column of a (dim, k)
     block, so that its anchor entry is real positive.
 
-    The anchor is the first entry unless that is numerically zero (see
-    :func:`phase_anchor`), in which case the largest-modulus entry is used
-    instead. An already-real-positive anchor leaves the column unchanged.
+    The anchor is the first entry unless that is numerically zero, in which
+    case the first entry of (nearly) the largest modulus is used instead; see
+    :func:`phase_anchor`. An already-real-positive anchor leaves the column
+    unchanged.
     """
     v = np.asarray(v, dtype=complex)
     block = v.reshape(v.shape[0], -1)
+    return (block * _phase_factors(block)).reshape(v.shape)
+
+
+def _phase_factors(block: np.ndarray) -> np.ndarray:
+    """The unit factors by which :func:`fix_phase` rotates the columns of a block."""
     anchors = phase_anchor(block)
     a = block[anchors, np.arange(block.shape[1])]
     zero = np.flatnonzero(a == 0)
@@ -167,7 +186,7 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     fallbacks = np.count_nonzero(anchors)
     if fallbacks:
         logger.debug("phase anchor fell back to the largest entry in %d columns", fallbacks)
-    return (block * (a.conj() / np.abs(a))).reshape(v.shape)
+    return a.conj() / np.abs(a)
 
 
 def _momentum_indices(
@@ -208,24 +227,17 @@ def _momentum_indices(
 
 
 def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
-    """Per-column v_j* (M v)_j for ``applied`` = M v.
+    """Per-column v_j* (M v)_j for ``applied`` = M v, of a (dim, k) block or
+    of each matrix of a (..., dim, k) stack, against which ``v`` broadcasts.
 
     Each column's products are summed pairwise along a contiguous axis, with
     rounding error O(log(dim) eps); a running sum (einsum) errs by
     O(dim eps), which at n = 30 uses most of the eigenvalue-error bound.
     """
-    return np.ascontiguousarray((v.conj() * applied).T).sum(axis=1)
-
-
-def _translation_eigs(v: np.ndarray, family: CommutingFamily) -> np.ndarray:
-    """(k, 2) Rayleigh quotients of the columns under (S_x, S_y)."""
-    return np.stack(
-        [
-            _rayleigh_quotients(v, family.apply_sx(v)),
-            _rayleigh_quotients(v, family.apply_sy(v)),
-        ],
-        axis=1,
-    )
+    products = np.empty(np.swapaxes(applied, -1, -2).shape, dtype=complex)
+    np.conjugate(np.swapaxes(v, -1, -2), out=products)
+    products *= np.swapaxes(applied, -1, -2)
+    return products.sum(axis=-1)
 
 
 def momentum_labels(
@@ -241,7 +253,11 @@ def momentum_labels(
     at n=4; see tests/test_simdiag.py.
     """
     v = np.asarray(basis_vectors)
-    r, s = _momentum_indices(_translation_eigs(v, family), family.n, angle_tol)
+    sym_eigs = np.stack(
+        [_rayleigh_quotients(v, family.apply_sx(v)), _rayleigh_quotients(v, family.apply_sy(v))],
+        axis=1,
+    )
+    r, s = _momentum_indices(sym_eigs, family.n, angle_tol)
     return list(map(MomentumIndex, r.tolist(), s.tolist()))
 
 
@@ -278,47 +294,81 @@ def _refine_within_blocks(
     return [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _symmetry_stages(n: int) -> list:
-    """One Hermitian stage operator per axis, S_x then S_y, in refinement order.
+def _stage(translation: np.ndarray, n: int) -> np.ndarray:
+    """The refinement stage of a real translation S, dense or projected.
 
-    Each is M = (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n), applied
-    as two translations (S* = S^-1). A column with S-eigenvalue
-    exp(-2*pi*i*k/n) has M-eigenvalue cos(2*pi*k/n - phi), and two momenta
-    k != j could share it only if k + j = 1/2 (mod n): one stage pins the
-    whole translation eigenvalue.
+    Returns M = (e^{i phi} S + e^{-i phi} S^T)/2 with phi = pi/(2n) (S^T is
+    S* = S^-1). A column with S-eigenvalue exp(-2*pi*i*k/n) has M-eigenvalue
+    cos(2*pi*k/n - phi), and two momenta k != j could share it only if
+    k + j = 1/2 (mod n): one stage pins the whole translation eigenvalue.
+    ``translation`` may also be a (..., k, k) stack of projections Q^T S Q
+    with Q real; their stages are the projections Q^T M Q, since
+    Q^T S^T Q = (Q^T S Q)^T.
     """
-    rotation = 0.5 * np.exp(0.5j * math.pi / n)
-    stages = []
-    for axis in (X_AXIS, Y_AXIS):
-
-        def rotated_part(v, axis=axis):
-            out = rotation * translate(v, n, axis, 1)
-            out += rotation.conjugate() * translate(v, n, axis, -1)
-            return out
-
-        stages.append(rotated_part)
-    return stages
+    rotation = 0.5 * cmath.exp(0.5j * math.pi / n)
+    return rotation * translation + rotation.conjugate() * np.swapaxes(translation, -1, -2)
 
 
-def _assemble(vectors: np.ndarray, family: CommutingFamily) -> SymBasis:
-    """Phase-fix, label, and sort a complete set of simultaneous eigenvectors."""
-    n, dim = family.n, family.dim
-    vectors = fix_phase(vectors)
-    sym_eigs = _translation_eigs(vectors, family)
-    r, s = _momentum_indices(sym_eigs, n)
-    codes = r * n + s
-    collisions = dim - np.unique(codes).size
-    if collisions:
-        raise MomentumLabelError(
-            f"momentum labels are not bijective: {collisions} collisions"
-        )
-    order = np.argsort(codes)
-    vectors = np.ascontiguousarray(vectors[:, order])
-    labels = [MomentumIndex(*divmod(code, n)) for code in codes[order].tolist()]
+@dataclass(frozen=True, eq=False)
+class _BlockGroup:
+    """The H-blocks of one size k, in the real eigenvectors Q of H.
+
+    ``cols`` (m, k) holds each block's columns; ``q`` (m, dim, k) their
+    columns of Q; ``projected`` (2, m, k, k) the projections Q_b^T S Q_b of
+    S_x and of S_y.
+    """
+
+    cols: np.ndarray
+    q: np.ndarray
+    projected: np.ndarray
+
+
+def _block_groups(q: np.ndarray, blocks: list[range], n: int) -> list[_BlockGroup]:
+    """Gather the blocks of each size from Q and project both translations onto them."""
+    # (S Q)[i] = Q[p[i]] for the site permutation p of each translation.
+    sites = np.arange(q.shape[0])
+    perms = np.stack([translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
+    sizes = np.array([len(b) for b in blocks])
+    starts = np.array([b.start for b in blocks])
+    groups = []
+    for k in np.unique(sizes).tolist():
+        cols = starts[sizes == k, None] + np.arange(k)
+        gathered = q[:, cols]
+        qb = gathered.transpose(1, 0, 2)
+        shifted = gathered[perms].transpose(0, 2, 1, 3)
+        groups.append(_BlockGroup(cols=cols, q=qb, projected=qb.transpose(0, 2, 1) @ shifted))
+    return groups
+
+
+def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
+    """Multiply each H-block's coordinates by that block's (k, k) matrix.
+
+    ``coords`` is (k_max, dim): block j's coordinates sit in the first k_j
+    rows of its columns. ``parts`` pairs each group's ``cols`` with an
+    (..., m, k, k) stack, the same leading shape for every group; one
+    batched product per block size, returned as (..., k_max, dim).
+    """
+    out = np.zeros(parts[0][1].shape[:-3] + coords.shape, dtype=complex)
+    for cols, matrices in parts:
+        k = cols.shape[1]
+        applied = matrices @ coords[:k, cols].transpose(1, 0, 2)
+        out[..., :k, cols] = np.swapaxes(applied, -3, -2)
+    return out
+
+
+def _assemble(
+    vectors: np.ndarray, sym_eigs: np.ndarray, labels: list[MomentumIndex], family: CommutingFamily
+) -> SymBasis:
+    """Phase-fix a complete set of simultaneous eigenvectors and compute their energies.
+
+    The columns of ``vectors`` come in label order, with their (x, y)
+    translation eigenvalues in ``sym_eigs`` and their ``labels`` as computed
+    by the caller; their phases are fixed in place, as :func:`fix_phase`
+    would fix them.
+    """
+    vectors *= _phase_factors(vectors)
     energies = _rayleigh_quotients(vectors, family.apply_h(vectors)).real
-    return SymBasis(
-        vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs[order]
-    )
+    return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
 def simultaneous_basis_refine(
@@ -326,12 +376,16 @@ def simultaneous_basis_refine(
 ) -> SymBasis:
     """Simultaneous eigenbasis by sequential subspace refinement.
 
-    Stages: (1) diagonalize H and cluster its eigenvalues; (2) inside every
-    degenerate cluster diagonalize the projection of the phase-rotated
+    Stages: (1) diagonalize the real H and cluster its eigenvalues; (2) inside
+    every degenerate cluster diagonalize the projection of the phase-rotated
     Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose
     eigenvalue fixes the x-translation eigenvalue; (3) inside remaining
-    sub-clusters the same for S_y. Every stage uses only Hermitian
-    eigendecompositions of projected blocks, one stacked call per block size.
+    sub-clusters the same for S_y. After the one dense eigensolve every stage
+    works in the blocks' own coordinates: S_x and S_y are projected once onto
+    each block of H's real eigenvectors Q, the stages are (k, k) Hermitian
+    eigendecompositions of those projections, one stacked call per block size,
+    and the translation eigenvalues are quotients of the coordinates. The
+    complex basis, Q times the coordinates, is formed once at the end.
 
     Parameters
     ----------
@@ -349,13 +403,22 @@ def simultaneous_basis_refine(
     """
     if gap_tol is not None and gap_tol <= 0:
         raise ValueError(f"gap_tol must be > 0 (got {gap_tol})")
+    n, dim = family.n, family.dim
     base = eig_hermitian(family.h)
-    vectors = np.array(base.vectors, dtype=complex)
     tol_h = gap_tol if gap_tol is not None else default_gap_tol(family.h)
     blocks = cluster_eigenvalues(base.values, tol_h).clusters
+    groups = _block_groups(base.vectors, blocks, n)
+    # Block j's coordinates in its own columns of Q start as the identity.
+    sizes = [len(b) for b in blocks]
+    coords = np.zeros((max(sizes), dim), dtype=complex)
+    coords[np.arange(dim) - np.repeat([b.start for b in blocks], sizes), np.arange(dim)] = 1.0
     tol = gap_tol if gap_tol is not None else STAGE_GAP_TOL
-    for apply_operator in _symmetry_stages(family.n):
-        blocks = _refine_within_blocks(vectors, blocks, apply_operator, tol)
+    stages = [(g.cols, _stage(g.projected, n)) for g in groups if g.cols.shape[1] > 1]
+    for axis in (0, 1):
+        parts = [(cols, stage[axis]) for cols, stage in stages]
+        blocks = _refine_within_blocks(
+            coords, blocks, functools.partial(_apply_within_blocks, parts=parts), tol
+        )
     stuck = [(b.start, b.stop) for b in blocks if len(b) > 1]
     if stuck:
         raise RefinementError(
@@ -363,7 +426,33 @@ def simultaneous_basis_refine(
             f"blocks {stuck}; gap_tol may be too coarse or the family has an "
             "unexpected extra symmetry"
         )
-    return _assemble(vectors, family)
+    applied = _apply_within_blocks(coords, [(g.cols, g.projected) for g in groups])
+    sym_eigs = _rayleigh_quotients(coords, applied).T
+    r, s = _momentum_indices(sym_eigs, n)
+    codes = r * n + s
+    collisions = dim - np.unique(codes).size
+    if collisions:
+        raise MomentumLabelError(
+            f"momentum labels are not bijective: {collisions} collisions"
+        )
+    order = np.argsort(codes)
+    # The basis is written once, each column straight into its label's place;
+    # real Q times complex coordinates is one real product per block size.
+    position = np.empty_like(order)
+    position[order] = np.arange(dim)
+    vectors = np.empty((dim, dim), dtype=complex)
+    for g in groups:
+        k = g.cols.shape[1]
+        dest = position[g.cols]
+        if k == 1:
+            vectors[:, dest[:, 0]] = g.q[:, :, 0].T
+        else:
+            c = np.ascontiguousarray(coords[:k, g.cols].transpose(1, 0, 2))
+            vectors[:, dest] = (g.q @ c.view(float)).view(complex).transpose(1, 0, 2)
+    labels = list(map(MomentumIndex, r[order].tolist(), s[order].tolist()))
+    # Free Q and its gathered blocks before the energies take their temporaries.
+    del base, groups
+    return _assemble(vectors, sym_eigs[order], labels, family)
 
 
 def _normal_eigenbasis(k: np.ndarray, gap_tol: float | None) -> np.ndarray:
@@ -444,11 +533,13 @@ def simultaneous_basis_combination(
         [_normal_eigenbasis(k1, gap_tol), _normal_eigenbasis(k2, gap_tol)]
     )
     accepted = filter_simultaneous(candidates.T, family, filter_tol)
-    sym_eigs = np.array([(sx_eig, sy_eig) for _v, _h, sx_eig, sy_eig in accepted], dtype=complex)
-    r, s = _momentum_indices(sym_eigs.reshape(-1, 2), family.n)
-    chosen: dict[MomentumIndex, np.ndarray] = {}
-    for label, (v, *_eigs) in zip(map(MomentumIndex, r.tolist(), s.tolist()), accepted):
-        chosen.setdefault(label, v)
+    sym_eigs = np.array(
+        [(sx_eig, sy_eig) for _v, _h, sx_eig, sy_eig in accepted], dtype=complex
+    ).reshape(-1, 2)
+    r, s = _momentum_indices(sym_eigs, family.n)
+    chosen: dict[MomentumIndex, int] = {}
+    for j, label in enumerate(map(MomentumIndex, r.tolist(), s.tolist())):
+        chosen.setdefault(label, j)
     dim = family.dim
     if len(chosen) < dim:
         raise CandidateDeficitError(
@@ -456,8 +547,45 @@ def simultaneous_basis_combination(
             f"labels (deficit {dim - len(chosen)}): degenerate combination "
             "spectrum for these parameters; use the refinement method"
         )
-    vectors = np.stack([chosen[label] for label in sorted(chosen)], axis=1)
-    return _assemble(vectors, family)
+    labels = sorted(chosen)
+    keep = [chosen[label] for label in labels]
+    vectors = np.stack([accepted[j][0] for j in keep], axis=1)
+    return _assemble(vectors, sym_eigs[keep], labels, family)
+
+
+def _max_residual(applied: np.ndarray, v: np.ndarray, eigs: np.ndarray) -> float:
+    """Largest column 2-norm of ``applied - v * eigs``, computed in ``applied``.
+
+    ``applied`` must be a C-ordered complex (dim, k) array; it is overwritten.
+    """
+    applied -= v * eigs
+    parts = applied.view(float)
+    np.square(parts, out=parts)
+    squares = parts[:, 0::2]
+    squares += parts[:, 1::2]
+    return float(np.sqrt(np.add.reduce(squares, axis=0).max()))
+
+
+def _orthogonality_defect(v: np.ndarray) -> float:
+    """max |V* V - I| in real arithmetic.
+
+    For V = A + iB, V* V - I = (A^T A + B^T B - I) + i(A^T B - (A^T B)^T):
+    half the flops of the complex product, since numpy forms A^T A and B^T B
+    as symmetric rank-k updates. A and B are freed before the antisymmetric
+    part is formed, to bound the peak allocation.
+    """
+    a = np.ascontiguousarray(v.real)
+    b = np.ascontiguousarray(v.imag)
+    gram = a.T @ a
+    gram += b.T @ b
+    cross = a.T @ b
+    del a, b
+    gram[np.diag_indices_from(gram)] -= 1.0
+    cross -= cross.T
+    gram *= gram
+    cross *= cross
+    gram += cross
+    return float(np.sqrt(gram.max()))
 
 
 def verify_basis(
@@ -474,16 +602,16 @@ def verify_basis(
     if basis.dim != dim:
         raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
     # One memory layout whatever the caller's: the column norms below round
-    # differently over C- and F-ordered input.
-    v = np.ascontiguousarray(basis.vectors)
+    # differently over C- and F-ordered input, and _max_residual needs C order.
+    v = np.ascontiguousarray(basis.vectors, dtype=complex)
     residuals = {}
     for key, apply_operator, eigs in (
         ("h", family.apply_h, basis.energies),
         ("sx", family.apply_sx, basis.sym_eigs[:, 0]),
         ("sy", family.apply_sy, basis.sym_eigs[:, 1]),
     ):
-        residuals[key] = float(np.linalg.norm(apply_operator(v) - v * eigs, axis=0).max())
-    orth = float(np.abs(v.conj().T @ v - np.eye(dim)).max())
+        residuals[key] = _max_residual(apply_operator(v), v, eigs)
+    orth = _orthogonality_defect(v)
     exact_energies = np.array([analytic_eigenvalue(spec, label) for label in basis.labels])
     eig_err = float(np.abs(basis.energies - exact_energies).max())
     exact = np.stack([analytic_eigenvector(spec, label) for label in basis.labels], axis=1)

@@ -232,3 +232,8 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("index,energy")
+
+    def test_analytic_takes_no_solver_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analytic", "--n", "4", "--method", "refine"])
+        assert exc.value.code == 2

@@ -296,3 +296,23 @@ class TestMatrixFreeOperators:
         v = dyadic_block(np.random.default_rng(n), n * n, 4)
         assert np.array_equal(translate(v, n, X_AXIS, -1), sx.T @ v)
         assert np.array_equal(translate(v, n, Y_AXIS, -1), sy.T @ v)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_apply_h_equals_four_roll_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        spec = LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
+        family = build_family(spec)
+
+        def four_rolls(v):
+            g = v.reshape(n, n, -1)
+            hop = np.roll(g, 1, 0)
+            hop += np.roll(g, -1, 0)
+            hop += np.roll(g, 1, 1)
+            hop += np.roll(g, -1, 1)
+            hop *= -spec.t
+            hop += spec.alpha * g
+            return hop.reshape(v.shape)
+
+        block = rng.standard_normal((n * n, 7)) + 1j * rng.standard_normal((n * n, 7))
+        for v in (block, block[:, 0].copy(), block.real.copy()):
+            assert np.array_equal(family.apply_h(v), four_rolls(v))

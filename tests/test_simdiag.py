@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tbbands.analytic import (
 from tbbands.cli import VERIFY_THRESHOLDS
 from tbbands import simdiag
 from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
-from tbbands.model import LatticeSpec, build_family, build_symmetries
+from tbbands.model import LatticeSpec, build_family, build_shift, build_symmetries
 from tbbands.simdiag import (
     STAGE_GAP_TOL,
     CandidateDeficitError,
@@ -283,40 +284,50 @@ class TestRefine:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_stage_gap_tol_is_dense_default(self, n):
         # default_gap_tol of the dense stage operators, to its last-ulp rounding;
-        # each stage is (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n)
+        # each stage is (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n), and
+        # projecting onto real columns Q commutes with it
         rotation = np.exp(0.5j * math.pi / n)
-        stages = simdiag._symmetry_stages(n)
-        assert len(stages) == 2
-        for stage, s in zip(stages, build_symmetries(LatticeSpec(n, 1.0, 0.2))):
-            dense = stage(np.eye(n * n, dtype=complex))
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n * n, 5)))
+        for s in build_symmetries(LatticeSpec(n, 1.0, 0.2)):
+            dense = simdiag._stage(s.real, n)
             assert np.abs(dense - (rotation * s + rotation.conjugate() * s.T) / 2.0).max() <= 1e-16
             assert np.array_equal(dense, dense.conj().T)
             assert math.isclose(default_gap_tol(dense), STAGE_GAP_TOL, rel_tol=1e-15)
+            projected = simdiag._stage(q.T @ s.real @ q, n)
+            assert np.abs(projected - q.T @ dense @ q).max() <= 1e-15
 
     @pytest.mark.parametrize("n", range(3, 91))
     def test_rotated_stage_separates_every_momentum(self, n):
-        # Each stage, applied to the n plane waves along its axis, must give
+        # Each translation acts along its axis as the n-site cyclic shift; the
+        # stage of that shift must have the n plane waves as eigenvectors, with
         # n eigenvalues at least 1e-3 apart (six orders above STAGE_GAP_TOL).
         steps = np.arange(n)
-        waves = np.exp(2j * math.pi * np.outer(steps, steps) / n) / n
-        for stage, modes in zip(
-            simdiag._symmetry_stages(n),
-            (np.tile(waves, (n, 1)), np.repeat(waves, n, axis=0)),
-        ):
-            applied = stage(modes)
-            values = np.einsum("ij,ij->j", modes.conj(), applied)
-            assert np.abs(applied - modes * values).max() <= 1e-14
-            assert np.abs(values.imag).max() <= 1e-15
-            assert np.diff(np.sort(values.real)).min() >= 1e-3
+        waves = np.exp(2j * math.pi * (np.outer(steps, steps) % n) / n) / math.sqrt(n)
+        applied = simdiag._stage(build_shift(n), n) @ waves
+        values = np.einsum("ij,ij->j", waves.conj(), applied)
+        assert np.abs(applied - waves * values).max() <= 1e-14
+        assert np.abs(values.imag).max() <= 1e-15
+        assert np.diff(np.sort(values.real)).min() >= 1e-3
 
     @pytest.mark.parametrize("n", [3, 4, 8, 13])
-    def test_t_zero_stages_leave_singletons(self, n):
+    def test_t_zero_stages_leave_singletons(self, n, monkeypatch):
+        # at t = 0 H has one block of size n^2; the two stages must split it
+        # into singletons
         family = build_family(LatticeSpec(n, 1.3, 0.0))
-        vectors = np.array(eig_hermitian(family.h).vectors, dtype=complex)
-        blocks = [range(0, n * n)]
-        for stage in simdiag._symmetry_stages(n):
-            blocks = simdiag._refine_within_blocks(vectors, blocks, stage, STAGE_GAP_TOL)
-        assert blocks == [range(j, j + 1) for j in range(n * n)]
+        partitions = []
+        engine = simdiag._refine_within_blocks
+
+        def recorded(vectors, blocks, apply_operator, gap_tol):
+            partitions.append(list(blocks))
+            refined = engine(vectors, blocks, apply_operator, gap_tol)
+            partitions.append(refined)
+            return refined
+
+        monkeypatch.setattr(simdiag, "_refine_within_blocks", recorded)
+        simultaneous_basis_refine(family)
+        assert partitions[0] == [range(0, n * n)]
+        assert partitions[-1] == [range(j, j + 1) for j in range(n * n)]
 
     @pytest.mark.parametrize("n,alpha,t", [(8, 1.0, 0.2), (12, -0.7, 1.1), (16, 0.0, 0.3)])
     def test_one_block_eigh_per_size_and_stage(self, n, alpha, t, monkeypatch):
@@ -332,9 +343,32 @@ class TestRefine:
         assert shapes[0] == (n * n, n * n)
         sizes = [shape[-1] for shape in shapes[1:]]
         assert all(len(shape) == 3 for shape in shapes[1:])
-        assert all(sizes.count(k) <= len(simdiag._symmetry_stages(n)) for k in sizes)
+        # two stages, one per translation
+        assert all(sizes.count(k) <= 2 for k in sizes)
         h_blocks = cluster_eigenvalues(eig_hermitian(family.h).values, default_gap_tol(family.h))
         assert len(shapes) - 1 <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
+
+    @pytest.mark.parametrize(
+        "n,alpha,t",
+        [(n, 1.3, 0.0) for n in range(3, 17)]
+        + [
+            (n, float(a), float(b))
+            for n, a, b in zip(
+                range(3, 17),
+                np.random.default_rng(40).uniform(-3.0, 3.0, 14),
+                np.random.default_rng(41).uniform(0.05, 1.5, 14) * np.resize([1, -1], 14),
+            )
+        ],
+    )
+    def test_sym_eigs_are_quotients_of_returned_columns(self, n, alpha, t):
+        # the translation eigenvalues come from the blocks' coordinates; they
+        # must match the Rayleigh quotients of the final columns
+        family = build_family(LatticeSpec(n, alpha, t))
+        basis = simultaneous_basis_refine(family)
+        v = basis.vectors
+        for column, apply in ((0, family.apply_sx), (1, family.apply_sy)):
+            quotients = simdiag._rayleigh_quotients(v, apply(v))
+            assert np.abs(basis.sym_eigs[:, column] - quotients).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "alpha,t",
@@ -354,6 +388,19 @@ class TestRefine:
         family = build_family(spec)
         report = verify_basis(simultaneous_basis_refine(family), family, spec)
         assert report.max_eigenvalue_error <= 0.5 * VERIFY_THRESHOLDS["max_eigenvalue_error"]
+
+    def test_label_collision_fails_loudly(self, monkeypatch):
+        family = build_family(LatticeSpec(4, 1.0, 0.2))
+        labelled = simdiag._momentum_indices
+
+        def colliding(sym_eigs, n, angle_tol=None):
+            r, s = labelled(sym_eigs, n, angle_tol)
+            r[1], s[1] = r[0], s[0]
+            return r, s
+
+        monkeypatch.setattr(simdiag, "_momentum_indices", colliding)
+        with pytest.raises(MomentumLabelError, match="1 collisions"):
+            simultaneous_basis_refine(family)
 
     def test_unresolvable_gap_tol_fails_loudly(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
@@ -434,7 +481,42 @@ class TestVerifyBasis:
         with pytest.raises(ValueError, match="columns"):
             verify_basis(truncated, family, spec)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_real_orthogonality_defect_equals_complex_product(self, n):
+        family = build_family(LatticeSpec(n, 0.9, -0.4))
+        v = simultaneous_basis_refine(family).vectors
+        mixed = v.copy()
+        mixed[:, 1] += 1e-9 * mixed[:, 0]
+        for basis in (v, mixed):
+            want = np.abs(basis.conj().T @ basis - np.eye(n * n)).max()
+            assert abs(simdiag._orthogonality_defect(basis) - want) <= 1e-15
+        assert simdiag._orthogonality_defect(mixed) > 1e-10
+
     def test_computed_basis_unit_circle_sym_eigs(self):
         family = build_family(LatticeSpec(5, 1.0, 0.2))
         basis = simultaneous_basis_refine(family)
         assert np.abs(np.abs(basis.sym_eigs) - 1.0).max() <= 1e-10
+
+
+class TestAllocationBudget:
+    # Traced peak allocations of one solve and one verification at n = 30,
+    # bounded at the figures this test measured before the refinement moved
+    # into block coordinates (69.2 and 37.1 MiB), rounded up to the next MiB.
+    # A memory regression shows here instead of only in a long benchmark run.
+    REFINE_MIB = 70
+    VERIFY_MIB = 38
+
+    def test_peaks_at_n30(self):
+        spec = LatticeSpec(30, 1.3, -0.7)
+        family = build_family(spec)
+        tracemalloc.start()
+        try:
+            basis = simultaneous_basis_refine(family)
+            _current, refine_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            verify_basis(basis, family, spec)
+            verify_peak = tracemalloc.get_traced_memory()[1] - _current
+        finally:
+            tracemalloc.stop()
+        assert refine_peak <= self.REFINE_MIB * 2**20
+        assert verify_peak <= self.VERIFY_MIB * 2**20
