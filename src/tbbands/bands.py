@@ -9,11 +9,11 @@ from typing import Iterator
 import numpy as np
 
 from .analytic import MomentumIndex, analytic_eigenvalue
-from .eigen import eig_hermitian
-from .model import CommutingFamily, LatticeSpec, build_family, build_hamiltonian
+from .model import CommutingFamily, LatticeSpec, build_family
 from .simdiag import (
     SymBasis,
     VerificationReport,
+    sector_eigh,
     simultaneous_basis_combination,
     simultaneous_basis_refine,
     verify_basis,
@@ -108,8 +108,11 @@ def compute_dispersion(
 
 
 def compute_spectrum(spec: LatticeSpec) -> SpectrumData:
-    """Sorted eigenvalues of the Hamiltonian (no momentum labels needed)."""
-    return SpectrumData(values=eig_hermitian(build_hamiltonian(spec)).values)
+    """Sorted eigenvalues of the Hamiltonian (no momentum labels needed).
+
+    The same reflection-parity sector eigensolve the refine method starts from.
+    """
+    return SpectrumData(values=sector_eigh(build_family(spec)).values)
 
 
 def analytic_dispersion(spec: LatticeSpec) -> BandData:

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 3:
         parser.error(f"--n must be >= 3 (got {args.n})")
+    for flag, value in (("--alpha", args.alpha), ("--t", args.t)):
+        if not math.isfinite(value):
+            parser.error(f"{flag} must be a finite number (got {value})")
     config = RunConfig(
         n=args.n,
         alpha=args.alpha,

@@ -4,10 +4,15 @@ Site index j = p*n + q, with p the block (y) index and q the in-block (x)
 index, so a vector or a block of columns reshapes to an (n, n, k) site grid.
 The translations are permutations of that grid and H is a five-point stencil
 on it: :class:`CommutingFamily` applies all three exactly, without matrices,
-as ``np.roll`` on the grid. The one dense matrix kept is the real symmetric H
-from :func:`build_hamiltonian`, the input of the single dense eigensolve.
-:func:`build_symmetries` still builds the dense complex translations, for the
-combination-matrix method and for tests.
+as ``np.roll`` on the grid. The lattice has two more exact symmetries, the
+site reflections q -> -q and p -> -p; :func:`parity_factors` gives the ring's
+reflection-even and reflection-odd columns, whose products A (x) B split the
+sites into four parity sectors that H maps into themselves, so the one dense
+eigensolve of H runs as four eigensolves of about a quarter of the dimension.
+The one dense matrix kept is the real symmetric H from
+:func:`build_hamiltonian`, whose norm sets the default tolerances and which
+the combination-matrix method multiplies with; :func:`build_symmetries` still
+builds the dense complex translations, for that method and for tests.
 """
 
 from __future__ import annotations
@@ -111,6 +116,30 @@ def translate(v: np.ndarray, n: int, axis: int, step: int) -> np.ndarray:
     return np.roll(v.reshape(n, n, -1), step, axis=axis).reshape(v.shape)
 
 
+def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal reflection-even and reflection-odd columns of the n-site ring.
+
+    The ring reflection j -> -j (mod n) maps e_j to e_{n-j}. The even columns
+    are e_0, (e_j + e_{n-j})/sqrt(2) for 0 < j < n/2, and e_{n/2} when n is
+    even, (n, n//2 + 1); the odd columns are (e_j - e_{n-j})/sqrt(2) for
+    0 < j < n/2, (n, (n-1)//2). Side by side they form an orthogonal matrix.
+    On the lattice the reflections q -> -q and p -> -p commute with H, so
+    with A and B each one of the two factors, the columns A (x) B of one
+    parity sector span a subspace H maps into itself.
+    """
+    half = (n - 1) // 2
+    j = np.arange(1, half + 1)
+    even = np.zeros((n, n // 2 + 1))
+    odd = np.zeros((n, half))
+    even[0, 0] = 1.0
+    if n % 2 == 0:
+        even[n // 2, n // 2] = 1.0
+    even[j, j] = even[n - j, j] = math.sqrt(0.5)
+    odd[j, j - 1] = math.sqrt(0.5)
+    odd[n - j, j - 1] = -math.sqrt(0.5)
+    return even, odd
+
+
 @dataclass(frozen=True, eq=False)
 class CommutingFamily:
     """The Hamiltonian and the two translations it commutes with.
@@ -118,8 +147,7 @@ class CommutingFamily:
     ``apply_h``, ``apply_sx`` and ``apply_sy`` act on a (dim,) vector or a
     (dim, k) block of columns through the site grid; they equal the dense
     matrices of :func:`build_hamiltonian` and :func:`build_symmetries` applied
-    to the same input. ``h`` is the read-only dense real Hamiltonian, kept as
-    the input of the one dense eigensolve.
+    to the same input. ``h`` is the read-only dense real Hamiltonian.
     """
 
     spec: LatticeSpec

@@ -233,6 +233,15 @@ class TestUsage:
         assert proc.returncode == 0
         assert proc.stdout.startswith("index,energy")
 
+    @pytest.mark.parametrize("command", ["bands", "spectrum"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--t"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--n", "4", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_analytic_takes_no_solver_flags(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["analytic", "--n", "4", "--method", "refine"])

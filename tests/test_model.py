@@ -20,6 +20,7 @@ from tbbands.model import (
     build_shift,
     build_symmetries,
     kron,
+    parity_factors,
     translate,
 )
 
@@ -316,3 +317,45 @@ class TestMatrixFreeOperators:
         block = rng.standard_normal((n * n, 7)) + 1j * rng.standard_normal((n * n, 7))
         for v in (block, block[:, 0].copy(), block.real.copy()):
             assert np.array_equal(family.apply_h(v), four_rolls(v))
+
+
+def reflect(v, n, axis):
+    """The site reflection along a grid axis (q -> -q or p -> -p, mod n)."""
+    return np.take(v.reshape(n, n, -1), (-np.arange(n)) % n, axis=axis).reshape(v.shape)
+
+
+class TestParityFactors:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_orthonormal_and_of_definite_parity(self, n):
+        even, odd = parity_factors(n)
+        assert even.shape == (n, n // 2 + 1)
+        assert odd.shape == (n, (n - 1) // 2)
+        both = np.hstack([even, odd])
+        assert np.abs(both.T @ both - np.eye(n)).max() <= 4 * np.finfo(float).eps
+        mirror = (-np.arange(n)) % n
+        assert np.array_equal(even[mirror], even)
+        assert np.array_equal(odd[mirror], -odd)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_apply_h_commutes_with_both_reflections(self, n):
+        family = build_family(LatticeSpec(n, 1.375, -0.625))
+        v = dyadic_block(np.random.default_rng(n), n * n, 5)
+        for axis in (X_AXIS, Y_AXIS):
+            assert np.array_equal(
+                family.apply_h(reflect(v, n, axis)), reflect(family.apply_h(v), n, axis)
+            )
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_sectors_decouple(self, n):
+        # H maps each sector's columns A (x) B into that sector: folding them
+        # onto any other sector leaves rounding only
+        rng = np.random.default_rng(n)
+        family = build_family(LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5))))
+        even, odd = parity_factors(n)
+        sectors = [np.kron(a, b) for a in (even, odd) for b in (even, odd)]
+        bound = 1e-15 * np.linalg.norm(family.h)
+        for i, source in enumerate(sectors):
+            applied = family.apply_h(source)
+            for j, target in enumerate(sectors):
+                if i != j:
+                    assert np.abs(target.T @ applied).max() <= bound

@@ -244,6 +244,44 @@ class TestFilterSimultaneous:
         assert filter_simultaneous([], family) == []
 
 
+class TestSectorEigh:
+    @pytest.mark.parametrize(
+        "n,alpha,t",
+        [
+            (n, float(a), float(b))
+            for n, a, b in zip(
+                range(3, 31),
+                np.random.default_rng(50).uniform(-3.0, 3.0, 28),
+                np.random.default_rng(51).uniform(0.05, 1.5, 28) * np.resize([1, -1], 28),
+            )
+        ]
+        + [(n, 1.3, 0.0) for n in (3, 4, 9, 16)]
+        + [(n, 1.0, 1e-6) for n in (3, 8, 13)]
+        + [(n, 1e3, 0.7) for n in (4, 7, 12)],
+    )
+    def test_matches_dense_eigh(self, n, alpha, t):
+        family = build_family(LatticeSpec(n, alpha, t))
+        got = simdiag.sector_eigh(family)
+        want = eig_hermitian(family.h)
+        scale = np.linalg.norm(family.h)
+        assert got.vectors.shape == (n * n, n * n) and got.vectors.dtype == np.float64
+        assert np.abs(got.values - want.values).max() <= 1e-13 * scale
+        tol = default_gap_tol(family.h)
+        assert (
+            cluster_eigenvalues(got.values, tol).clusters
+            == cluster_eigenvalues(want.values, tol).clusters
+        )
+        v = got.vectors
+        assert np.abs(v.T @ v - np.eye(n * n)).max() <= 1e-13
+        assert np.abs(family.apply_h(v) - v * got.values).max() <= 1e-13 * scale
+
+    def test_deterministic(self):
+        family = build_family(LatticeSpec(11, 0.4, -0.9))
+        first, second = simdiag.sector_eigh(family), simdiag.sector_eigh(family)
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
+
+
 class TestRefine:
     def test_n3_matches_analytic_up_to_phase(self):
         spec = LatticeSpec(3, 1.0, 0.2)
@@ -340,13 +378,18 @@ class TestRefine:
 
         monkeypatch.setattr(simdiag, "eig_hermitian", counted)
         simultaneous_basis_refine(family)
-        assert shapes[0] == (n * n, n * n)
-        sizes = [shape[-1] for shape in shapes[1:]]
-        assert all(len(shape) == 3 for shape in shapes[1:])
+        # H in its parity sectors: ee, the eo/oe stack, oo; N columns in all,
+        # none larger than the even-even sector
+        sectors, stages = shapes[:3], shapes[3:]
+        assert len(sectors[1]) == 3 and sectors[1][0] == 2
+        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n
+        assert max(shape[-1] for shape in sectors) <= (n // 2 + 1) ** 2
+        sizes = [shape[-1] for shape in stages]
+        assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
         assert all(sizes.count(k) <= 2 for k in sizes)
         h_blocks = cluster_eigenvalues(eig_hermitian(family.h).values, default_gap_tol(family.h))
-        assert len(shapes) - 1 <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
+        assert len(stages) <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
 
     @pytest.mark.parametrize(
         "n,alpha,t",
