@@ -8,8 +8,8 @@ verify     basis-quality metrics as ``key=value`` lines, checked against
            fixed thresholds
 analytic   closed-form dispersion in the same CSV schema as ``bands``
 
-Exit codes: 0 success, 1 computational failure, 2 usage error,
-3 verification threshold breach.
+Exit codes: 0 success, 1 computational failure or an output file that
+cannot be written, 2 usage error, 3 verification threshold breach.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class RunConfig:
         return LatticeSpec(n=self.n, alpha=self.alpha, t=self.t)
 
 
+# Eigenvector lines per write: the file is never held whole in memory.
+_CHUNK_LINES = 64
+
+
 def _fmt(x: float) -> str:
     """17 significant digits: enough for exact float round-trips."""
     return format(float(x), ".17g")
@@ -87,11 +91,23 @@ def _write_band_csv(path: str | None, band) -> None:
 def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
     """One eigenvector per line, entries as interleaved real,imag pairs.
 
-    Rendered with ``%.17g``, which gives the same text as :func:`_fmt`.
+    The entries repeat: a momentum eigenvector is a phase times the plane wave
+    e^{2 pi i (r p + s q)/n} / n, so a column holds only O(n) distinct values,
+    and the solver keeps many of them bit-identical (the parity-sector lift
+    writes entries as exact +-sqrt(1/2) copies). Each distinct bit pattern is
+    therefore rendered once with ``%.17g``, the text of :func:`_fmt` (bits,
+    not values, so -0.0 stays "-0"), and the file is written _CHUNK_LINES
+    lines at a time from that table.
     """
     rows = np.ascontiguousarray(vectors.T, dtype=complex).view(float)
-    template = ",".join(["%.17g"] * rows.shape[1])
-    _write_lines(path, [template % tuple(row.tolist()) for row in rows])
+    bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+    inverse = inverse.reshape(rows.shape)
+    rendered = ("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(",")
+    table = np.array(rendered[:-1], dtype=object)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(rows), _CHUNK_LINES):
+            cells = table[inverse[start:start + _CHUNK_LINES]].tolist()
+            fh.write("\n".join(map(",".join, cells)) + "\n")
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -121,8 +137,9 @@ def cmd_verify(config: RunConfig) -> int:
         spec, config.method, config.gap_tol, config.filter_tol
     )
     report = verify_basis(basis, family, spec)
-    for key, value in report.as_dict().items():
-        print(f"{key}={_fmt(value)}")
+    _write_lines(
+        config.output_path, [f"{key}={_fmt(value)}" for key, value in report.as_dict().items()]
+    )
     if config.vectors_path is not None:
         _write_vectors_csv(config.vectors_path, basis.vectors)
     breached = [
@@ -234,6 +251,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config)
     except (SimultaneousDiagonalizationError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"tbbands {args.command}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except OSError as exc:
+        target = "standard output" if exc.filename is None else exc.filename
+        print(f"tbbands {args.command}: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

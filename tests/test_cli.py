@@ -1,10 +1,12 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tbbands import cli
+from tbbands.analytic import MomentumIndex, analytic_eigenvector
 from tbbands.bands import compute_basis, compute_spectrum
 from tbbands.model import LatticeSpec
 from tbbands.simdiag import VerificationReport
@@ -144,6 +146,68 @@ class TestVectorsWriter:
         _family, basis = compute_basis(LatticeSpec(5, -0.7, 0.3))
         assert out.read_bytes() == reference_vectors_csv(basis.vectors)
 
+    def test_signed_values_and_zeros_recur(self, tmp_path):
+        rng = np.random.default_rng(12)
+        pool = rng.standard_normal(6)
+        pool = np.concatenate([pool, -pool, [0.0, -0.0, 0.0, -0.0]])
+        vectors = rng.choice(pool, (40, 30)) + 1j * rng.choice(pool, (40, 30))
+        vectors[::3, ::2] = complex(-0.0, 0.0)
+        vectors[1::3, 1::2] = complex(0.0, -0.0)
+        out = tmp_path / "vectors.csv"
+        cli._write_vectors_csv(str(out), vectors)
+        text = out.read_bytes()
+        assert text == reference_vectors_csv(vectors)
+        assert text.count(b"-0,") > 100 and text.count(b",0,") > 100
+
+    def test_lines_span_several_chunks(self, tmp_path):
+        lines = 2 * cli._CHUNK_LINES + 5
+        rng = np.random.default_rng(13)
+        vectors = np.round(rng.standard_normal((3, lines)), 1) + 1j * rng.standard_normal((3, lines))
+        out = tmp_path / "vectors.csv"
+        cli._write_vectors_csv(str(out), vectors)
+        assert out.read_bytes() == reference_vectors_csv(vectors)
+        assert len(out.read_bytes().splitlines()) == lines
+
+    def test_no_repeated_floats(self, tmp_path):
+        rng = np.random.default_rng(14)
+        vectors = rng.standard_normal((50, 70)) + 1j * rng.standard_normal((50, 70))
+        assert np.unique(vectors.view(float)).size == 2 * vectors.size
+        out = tmp_path / "vectors.csv"
+        cli._write_vectors_csv(str(out), vectors)
+        assert out.read_bytes() == reference_vectors_csv(vectors)
+
+    def test_verify_and_analytic_vectors_match_format_17g(self, tmp_path):
+        spec = LatticeSpec(7, 0.4, -0.9)
+        args = ["--n", "7", "--alpha", "0.4", "--t", "-0.9"]
+        out = tmp_path / "vectors.csv"
+        assert cli.main(["verify", *args, "--vectors", str(out)]) == 0
+        _family, basis = compute_basis(spec)
+        assert out.read_bytes() == reference_vectors_csv(basis.vectors)
+        assert cli.main(["analytic", *args, "--out", str(tmp_path / "a.csv"),
+                         "--vectors", str(out)]) == 0
+        exact = np.stack([analytic_eigenvector(spec, MomentumIndex(r, s))
+                          for r in range(7) for s in range(7)], axis=1)
+        assert out.read_bytes() == reference_vectors_csv(exact)
+
+
+class TestWriterAllocationBudget:
+    # Traced peak allocation of one eigenvector-CSV write at n = 22. The
+    # writer that held every line, their join and the encoded bytes at once
+    # peaked at 32.5 MiB; rendering each distinct float once and writing in
+    # chunks peaks at 22.3 MiB.
+    WRITER_MIB = 24
+
+    def test_peak_at_n22(self, tmp_path):
+        _family, basis = compute_basis(LatticeSpec(22, 1.3, -0.7))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cli._write_vectors_csv(str(tmp_path / "vectors.csv"), basis.vectors)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.WRITER_MIB * 2**20
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_metrics_printed(self, capsys):
@@ -154,6 +218,13 @@ class TestVerifyCommand:
         assert keys == list(cli.VERIFY_THRESHOLDS)
         for line in out.strip().splitlines():
             assert float(line.split("=")[1]) >= 0.0
+
+    def test_out_receives_the_metrics(self, tmp_path, capsys):
+        out = tmp_path / "metrics.txt"
+        assert cli.main(["verify", "--n", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        keys = [line.split("=")[0] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert keys == list(cli.VERIFY_THRESHOLDS)
 
     def test_degenerate_case_exit_zero(self, capsys):
         assert cli.main(["verify", "--n", "3", "--t", "0"]) == 0
@@ -211,6 +282,38 @@ class TestAnalyticCommand:
         lines = vecs.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 9
         assert all(len(line.split(",")) == 18 for line in lines)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["spectrum", "bands", "verify", "analytic"])
+    def test_out_in_missing_directory(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.csv"
+        assert cli.main([command, "--n", "3", "--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tbbands {command}: cannot write {missing}")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bands", "verify", "analytic"])
+    def test_vectors_is_a_directory(self, command, tmp_path, capsys):
+        argv = [command, "--n", "3", "--vectors", str(tmp_path)]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tbbands {command}: cannot write {tmp_path}")
+        assert "Traceback" not in err
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tbbands", "bands", "--n", "3",
+             "--out", str(tmp_path / "missing" / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "cannot write" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestUsage:
