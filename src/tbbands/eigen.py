@@ -51,7 +51,12 @@ class EigenvalueClusters:
 
 def default_gap_tol(a: np.ndarray) -> float:
     """1e-9 * ||A||_F / sqrt(dim): far above solver noise, far below genuine gaps."""
-    scale = np.linalg.norm(a) / math.sqrt(a.shape[0])
+    return gap_tol_for_norm(np.linalg.norm(a), a.shape[0])
+
+
+def gap_tol_for_norm(norm: float, dim: int) -> float:
+    """:func:`default_gap_tol` of a (dim, dim) matrix with Frobenius norm ``norm``."""
+    scale = norm / math.sqrt(dim)
     return 1e-9 * scale if scale > 0.0 else np.finfo(float).eps
 
 

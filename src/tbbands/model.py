@@ -10,8 +10,9 @@ reflection-even and reflection-odd columns, whose products A (x) B split the
 sites into four parity sectors that H maps into themselves, so the one dense
 eigensolve of H runs as four eigensolves of about a quarter of the dimension.
 The one dense matrix kept is the real symmetric H from
-:func:`build_hamiltonian`, whose norm sets the default tolerances and which
-the combination-matrix method multiplies with; :func:`build_symmetries` still
+:func:`build_hamiltonian`, which the combination-matrix method multiplies
+with; its norm, which sets the default tolerances, has the closed form
+:func:`hamiltonian_norm`; :func:`build_symmetries` still
 builds the dense complex translations, for that method and for tests.
 """
 
@@ -98,6 +99,15 @@ def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     eye = np.eye(spec.n)
     shift = build_shift(spec.n)
     return kron(eye, build_chain(spec)) + kron(shift + shift.T, -spec.t * eye)
+
+
+def hamiltonian_norm(spec: LatticeSpec) -> float:
+    """Frobenius norm of H in closed form: n * sqrt(alpha^2 + 4 t^2).
+
+    For n >= 3 each row of H holds alpha on the diagonal and -t at four
+    distinct columns, so ||H||_F^2 = n^2 (alpha^2 + 4 t^2).
+    """
+    return spec.n * math.hypot(spec.alpha, 2.0 * spec.t)
 
 
 def build_symmetries(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:

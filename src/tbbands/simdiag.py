@@ -45,13 +45,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import MomentumIndex, analytic_eigenvalue, analytic_eigenvector
-from .eigen import EigenDecomposition, cluster_eigenvalues, default_gap_tol, eig_hermitian
+from .eigen import (
+    EigenDecomposition,
+    cluster_eigenvalues,
+    default_gap_tol,
+    eig_hermitian,
+    gap_tol_for_norm,
+)
 from .model import (
     X_AXIS,
     Y_AXIS,
     CommutingFamily,
     LatticeSpec,
     build_symmetries,
+    hamiltonian_norm,
     parity_factors,
     translate,
 )
@@ -81,6 +88,18 @@ UNIT_CIRCLE_TOL = 1e-8
 # ||M||_F / sqrt(dim) is sqrt(1/2) for every n >= 3 (two entries of modulus
 # 1/2 per row).
 STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
+
+# Columns per chunk of the passes over a whole basis: the energies in
+# _assemble, and the residuals, the oracle comparison and the orthogonality
+# estimate in verify_basis. Each chunk's temporaries stay a fraction of the
+# (dim, dim) basis.
+CHUNK = 128
+
+# verify_basis transforms the basis to the oracle's plane waves from this
+# dimension (n = 20) up. Below it the transforms cost about as much as the
+# exact Gram product and the direct oracle overlaps they replace, or more at
+# prime n; on one core the transforms win from n = 20 (BENCH_11.json).
+FOURIER_MIN_DIM = 400
 
 
 class SimultaneousDiagonalizationError(Exception):
@@ -423,7 +442,10 @@ def _assemble(
     would fix them.
     """
     vectors *= _phase_factors(vectors)
-    energies = _rayleigh_quotients(vectors, family.apply_h(vectors)).real
+    energies = np.empty(vectors.shape[1])
+    for start in range(0, vectors.shape[1], CHUNK):
+        chunk = vectors[:, start : start + CHUNK]
+        energies[start : start + CHUNK] = _rayleigh_quotients(chunk, family.apply_h(chunk)).real
     return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
@@ -462,7 +484,9 @@ def simultaneous_basis_refine(
         raise ValueError(f"gap_tol must be > 0 (got {gap_tol})")
     n, dim = family.n, family.dim
     base = sector_eigh(family)
-    tol_h = gap_tol if gap_tol is not None else default_gap_tol(family.h)
+    tol_h = (
+        gap_tol if gap_tol is not None else gap_tol_for_norm(hamiltonian_norm(family.spec), dim)
+    )
     blocks = cluster_eigenvalues(base.values, tol_h).clusters
     groups = _block_groups(base.vectors, blocks, n)
     # Block j's coordinates in its own columns of Q start as the identity.
@@ -534,7 +558,7 @@ def _normal_eigenbasis(k: np.ndarray, gap_tol: float | None) -> np.ndarray:
 
 def default_filter_tol(family: CommutingFamily) -> float:
     """Residual acceptance threshold: orders above solver noise, far below O(t) mixing."""
-    return FILTER_RTOL * np.linalg.norm(family.h)
+    return FILTER_RTOL * hamiltonian_norm(family.spec)
 
 
 def filter_simultaneous(
@@ -610,17 +634,25 @@ def simultaneous_basis_combination(
     return _assemble(vectors, sym_eigs[keep], labels, family)
 
 
+def _squared_moduli(a: np.ndarray) -> np.ndarray:
+    """|a|^2 entry by entry, computed in ``a``, a C-ordered complex (dim, k) array.
+
+    Returns a (dim, k) float view into the overwritten ``a``.
+    """
+    parts = a.view(float)
+    np.square(parts, out=parts)
+    squares = parts[:, 0::2]
+    squares += parts[:, 1::2]
+    return squares
+
+
 def _max_residual(applied: np.ndarray, v: np.ndarray, eigs: np.ndarray) -> float:
     """Largest column 2-norm of ``applied - v * eigs``, computed in ``applied``.
 
     ``applied`` must be a C-ordered complex (dim, k) array; it is overwritten.
     """
     applied -= v * eigs
-    parts = applied.view(float)
-    np.square(parts, out=parts)
-    squares = parts[:, 0::2]
-    squares += parts[:, 1::2]
-    return float(np.sqrt(np.add.reduce(squares, axis=0).max()))
+    return float(np.sqrt(np.add.reduce(_squared_moduli(applied), axis=0).max()))
 
 
 def _orthogonality_defect(v: np.ndarray) -> float:
@@ -645,6 +677,39 @@ def _orthogonality_defect(v: np.ndarray) -> float:
     return float(np.sqrt(gram.max()))
 
 
+def _fourier_orthogonality_defect(f: np.ndarray) -> float | None:
+    """max |V* V - I| from the basis's plane-wave coefficients, in O(dim^2).
+
+    ``f[i, j]`` = <u_i, v_j>, with u_i the oracle's plane wave at column i's
+    own label, so ``f`` is the unitary 2-D DFT of V with its rows in label
+    order and d = diag(f) holds each column's own-label overlap. With E = f
+    off its diagonal, V* V = f* f gives (V* V)_jj - 1 = |d_j|^2 + ||E_j||^2 - 1
+    and, for i != j, (V* V)_ij = conj(d_i) E_ij + conj(E_ji) d_j + R_ij with
+    |R_ij| <= max_j ||E_j||^2. Returns the estimate without R, or None when
+    that bound exceeds eps, where R could move the result. ``f`` must come
+    from bijective labels, and its diagonal is overwritten with zeros.
+    """
+    dim = f.shape[0]
+    d = f.diagonal().copy()
+    f[np.diag_indices(dim)] = 0.0
+    dropped = np.zeros((dim, 2))
+    worst = 0.0
+    for start in range(0, dim, CHUNK):
+        rows = slice(start, start + CHUNK)
+        e = f[rows]
+        dropped += np.add.reduce(np.square(e.view(float)), axis=0).reshape(dim, 2)
+        off = np.conj(d[rows])[:, None] * e
+        mirrored = np.conj(f[:, rows].T)
+        mirrored *= d
+        off += mirrored
+        worst = max(worst, float(_squared_moduli(off).max()))
+    dropped = dropped.sum(axis=1)
+    if dropped.max() > np.finfo(float).eps:
+        return None
+    diagonal = (d.real * d.real + d.imag * d.imag - 1.0) + dropped
+    return math.sqrt(max(worst, float(np.square(diagonal).max())))
+
+
 def verify_basis(
     basis: SymBasis, family: CommutingFamily, spec: LatticeSpec
 ) -> VerificationReport:
@@ -654,35 +719,75 @@ def verify_basis(
     eigenvalue and entrywise errors compare against the closed-form values at
     each column's momentum label, with the analytic vector phase-aligned to
     the computed column before the entrywise comparison.
+
+    The oracle's eigenvectors are the plane waves u_(r,s), so a column's
+    coefficients in them are its unitary 2-D DFT, <u_(r,s), v> =
+    fft2(v on the (n, n) site grid)[r, s] / n, and V* V = W* W for W = U* V.
+    From dim >= FOURIER_MIN_DIM each chunk of columns is transformed once:
+    its own-label coefficients d_j align the oracle vectors' phases, and
+    :func:`_fourier_orthogonality_defect` estimates max |V* V - I| from W in
+    O(dim^2 log n), where the Gram product costs O(dim^3). The estimate drops
+    a term bounded by max_j ||E_j||^2, E_j column j's coefficients off its own
+    label, and is taken only when the labels are a bijection and that bound
+    is at most eps. Otherwise (a basis with swapped or duplicated labels, or
+    one mixed inside a degenerate block), and below FOURIER_MIN_DIM, the
+    exact Gram product :func:`_orthogonality_defect` is taken. The transform
+    checks a basis against the oracle; the solver never uses it.
+
+    The residuals and the oracle comparison run CHUNK columns at a time; each
+    column's residual norm is the same as over the whole basis, bit for bit.
     """
-    dim = family.dim
+    n, dim = family.n, family.dim
     if basis.dim != dim:
         raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
     # One memory layout whatever the caller's: the column norms below round
     # differently over C- and F-ordered input, and _max_residual needs C order.
     v = np.ascontiguousarray(basis.vectors, dtype=complex)
-    residuals = {}
-    for key, apply_operator, eigs in (
-        ("h", family.apply_h, basis.energies),
-        ("sx", family.apply_sx, basis.sym_eigs[:, 0]),
-        ("sy", family.apply_sy, basis.sym_eigs[:, 1]),
-    ):
-        residuals[key] = _max_residual(apply_operator(v), v, eigs)
-    orth = _orthogonality_defect(v)
     exact_energies = np.array([analytic_eigenvalue(spec, label) for label in basis.labels])
     eig_err = float(np.abs(basis.energies - exact_energies).max())
-    exact = np.stack([analytic_eigenvector(spec, label) for label in basis.labels], axis=1)
-    # Align each oracle vector's phase to its computed column.
-    overlap = _rayleigh_quotients(exact, v)
-    modulus = np.abs(overlap)
-    exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
-    exact -= v
-    entry_err = float(max(np.abs(exact.real).max(), np.abs(exact.imag).max()))
+    operators = (
+        (family.apply_h, basis.energies),
+        (family.apply_sx, basis.sym_eigs[:, 0]),
+        (family.apply_sy, basis.sym_eigs[:, 1]),
+    )
+    residuals = [0.0] * len(operators)
+    entry_err = 0.0
+    fourier = dim >= FOURIER_MIN_DIM
+    if fourier:
+        codes = np.array([r * n + s for r, s in basis.labels])
+        # f[i, j] = <u_(label i), v_j>: the coefficients with rows in label order.
+        f = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, CHUNK):
+        cols = slice(start, start + CHUNK)
+        chunk = v[:, cols]
+        for i, (apply_operator, eigs) in enumerate(operators):
+            residual = _max_residual(apply_operator(chunk), chunk, eigs[cols])
+            residuals[i] = max(residuals[i], residual)
+        labels = basis.labels[cols]
+        exact = np.stack([analytic_eigenvector(spec, label) for label in labels], axis=1)
+        if fourier:
+            coefficients = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
+            f[:, cols] = coefficients.reshape(dim, -1)[codes]
+            overlap = f[cols, cols].diagonal()
+        else:
+            overlap = _rayleigh_quotients(exact, chunk)
+        # Align each oracle vector's phase to its computed column.
+        modulus = np.abs(overlap)
+        exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
+        exact -= chunk
+        entry_err = max(entry_err, np.abs(exact.real).max(), np.abs(exact.imag).max())
+    orth = None
+    if fourier:
+        if np.unique(codes).size == dim:
+            orth = _fourier_orthogonality_defect(f)
+        del f
+    if orth is None:
+        orth = _orthogonality_defect(v)
     return VerificationReport(
-        max_residual_h=residuals["h"],
-        max_residual_sx=residuals["sx"],
-        max_residual_sy=residuals["sy"],
+        max_residual_h=residuals[0],
+        max_residual_sx=residuals[1],
+        max_residual_sy=residuals[2],
         max_orthogonality_defect=orth,
         max_eigenvalue_error=eig_err,
-        max_entrywise_vector_error=entry_err,
+        max_entrywise_vector_error=float(entry_err),
     )

@@ -19,6 +19,7 @@ from tbbands.model import (
     build_hamiltonian,
     build_shift,
     build_symmetries,
+    hamiltonian_norm,
     kron,
     parity_factors,
     translate,
@@ -176,6 +177,15 @@ class TestHamiltonian:
         n2 = spec.n**2
         want = n2 * spec.alpha**2 + 4 * n2 * spec.t**2
         assert math.isclose(total, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_closed_form_norm_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        draws = [(float(a), float(t)) for a, t in rng.uniform(-3.0, 3.0, (3, 2))]
+        for alpha, t in draws + [(1.3, 0.0), (0.0, -0.7), (0.0, 0.0)]:
+            spec = LatticeSpec(n, alpha, t)
+            want = np.linalg.norm(build_hamiltonian(spec))
+            assert math.isclose(hamiltonian_norm(spec), want, rel_tol=1e-15)
 
 
 class TestSymmetries:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from tbbands.analytic import (
 from tbbands.cli import VERIFY_THRESHOLDS
 from tbbands import simdiag
 from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
-from tbbands.model import LatticeSpec, build_family, build_shift, build_symmetries
+from tbbands.model import (
+    CommutingFamily,
+    LatticeSpec,
+    build_family,
+    build_shift,
+    build_symmetries,
+)
 from tbbands.simdiag import (
+    FILTER_RTOL,
     STAGE_GAP_TOL,
     CandidateDeficitError,
     MomentumLabelError,
@@ -432,6 +440,28 @@ class TestRefine:
         report = verify_basis(simultaneous_basis_refine(family), family, spec)
         assert report.max_eigenvalue_error <= 0.5 * VERIFY_THRESHOLDS["max_eigenvalue_error"]
 
+    @pytest.mark.parametrize("n,alpha,t", [(5, 1.3, -0.7), (13, -2.1, 0.9), (8, 0.0, 0.0)])
+    def test_never_reads_the_dense_hamiltonian(self, n, alpha, t):
+        spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        want = simultaneous_basis_refine(family)
+        got = simultaneous_basis_refine(CommutingFamily(spec=spec, h=None))
+        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.energies, want.energies)
+        assert got.labels == want.labels
+        dense = FILTER_RTOL * np.linalg.norm(family.h)
+        assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
+
+    def test_chunked_energies_equal_whole_basis_quotients(self):
+        # the energies are formed CHUNK columns at a time; each column's
+        # pairwise sum is the same as over the whole basis, bit for bit
+        family = build_family(LatticeSpec(30, 1.3, -0.7))
+        basis = simultaneous_basis_refine(family)
+        v = basis.vectors
+        assert basis.dim > simdiag.CHUNK
+        want = simdiag._rayleigh_quotients(v, family.apply_h(v)).real
+        assert np.array_equal(basis.energies, want)
+
     def test_label_collision_fails_loudly(self, monkeypatch):
         family = build_family(LatticeSpec(4, 1.0, 0.2))
         labelled = simdiag._momentum_indices
@@ -535,19 +565,163 @@ class TestVerifyBasis:
             assert abs(simdiag._orthogonality_defect(basis) - want) <= 1e-15
         assert simdiag._orthogonality_defect(mixed) > 1e-10
 
+    @pytest.mark.parametrize("n", [12, 17, 20])
+    def test_chunked_residuals_equal_whole_basis_residuals(self, n):
+        spec = LatticeSpec(n, -0.4, 1.1)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        v = basis.vectors
+        report = verify_basis(basis, family, spec)
+        for got, apply, eigs in (
+            (report.max_residual_h, family.apply_h, basis.energies),
+            (report.max_residual_sx, family.apply_sx, basis.sym_eigs[:, 0]),
+            (report.max_residual_sy, family.apply_sy, basis.sym_eigs[:, 1]),
+        ):
+            assert got == simdiag._max_residual(apply(v), v, eigs)
+
     def test_computed_basis_unit_circle_sym_eigs(self):
         family = build_family(LatticeSpec(5, 1.0, 0.2))
         basis = simultaneous_basis_refine(family)
         assert np.abs(np.abs(basis.sym_eigs) - 1.0).max() <= 1e-10
 
 
+def accurate_orthogonality_defect(v):
+    """max |V* V - I| with each diagonal entry summed exactly (math.fsum).
+
+    The double Gram product sums each column's squared moduli in sequence and
+    rounds its diagonal by up to ~3e-15 at n = 19; its off-diagonal entries,
+    sums of terms of random phase, round far below that.
+    """
+    gram = v.conj().T @ v
+    np.fill_diagonal(gram, 0.0)
+    squares = np.concatenate([v.real**2, v.imag**2])
+    diagonal = max(abs(math.fsum(column) - 1.0) for column in squares.T)
+    return max(float(np.abs(gram).max()), diagonal)
+
+
+class TestFourierOrthogonality:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        """Count the exact Gram products verify_basis takes."""
+        calls = []
+        exact = simdiag._orthogonality_defect
+
+        def counted(v):
+            calls.append(v.shape)
+            return exact(v)
+
+        monkeypatch.setattr(simdiag, "_orthogonality_defect", counted)
+        return calls
+
+    @pytest.fixture
+    def always_fourier(self, monkeypatch):
+        monkeypatch.setattr(simdiag, "FOURIER_MIN_DIM", 0)
+
+    @pytest.mark.parametrize(
+        "n,alpha,t",
+        [
+            (n, float(a), float(b))
+            for n, a, b in zip(
+                range(3, 31),
+                np.random.default_rng(60).uniform(-3.0, 3.0, 28),
+                np.random.default_rng(61).uniform(0.05, 1.5, 28) * np.resize([1, -1], 28),
+            )
+        ]
+        + [(n, 1.3, 0.0) for n in (3, 4, 9, 16)],
+    )
+    def test_estimate_matches_gram_on_refine_bases(self, n, alpha, t, always_fourier, gram_calls):
+        spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        report = verify_basis(basis, family, spec)
+        assert gram_calls == []
+        want = accurate_orthogonality_defect(basis.vectors)
+        assert abs(report.max_orthogonality_defect - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 12, 20])
+    def test_estimate_matches_gram_on_analytic_basis(self, n, always_fourier, gram_calls):
+        spec = LatticeSpec(n, 1.0, 0.2)
+        family, basis = analytic_sym_basis(spec)
+        report = verify_basis(basis, family, spec)
+        assert gram_calls == []
+        want = accurate_orthogonality_defect(basis.vectors)
+        assert abs(report.max_orthogonality_defect - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [6, 20])
+    @pytest.mark.parametrize("defect", ["leak", "scale"])
+    def test_small_defects_read_the_same_both_ways(self, n, defect, always_fourier, gram_calls):
+        spec = LatticeSpec(n, 0.9, -0.4)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        v = basis.vectors.copy()
+        if defect == "leak":
+            v[:, 1] += 1e-9 * v[:, 0]
+        else:
+            v[:, 1] *= 1.0 + 1e-9
+        got = verify_basis(replace(basis, vectors=v), family, spec).max_orthogonality_defect
+        assert gram_calls == []
+        want = simdiag._orthogonality_defect(v)
+        assert want > 5e-10
+        assert math.isclose(got, want, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("damage", ["swapped", "duplicated", "rotated"])
+    def test_bases_off_their_labels_take_the_exact_path(self, damage, always_fourier, gram_calls):
+        spec = LatticeSpec(6, 1.0, 0.3)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        a = next(
+            j for j in range(basis.dim - 1) if basis.energies[j + 1] - basis.energies[j] < 1e-12
+        )
+        labels = list(basis.labels)
+        if damage == "swapped":
+            labels[a], labels[a + 1] = labels[a + 1], labels[a]
+            damaged = replace(basis, labels=labels)
+        elif damage == "duplicated":
+            labels[a + 1] = labels[a]
+            damaged = replace(basis, labels=labels)
+        else:
+            v = basis.vectors.copy()
+            c, s = math.cos(0.3), math.sin(0.3)
+            v[:, [a, a + 1]] = v[:, [a, a + 1]] @ np.array([[c, -s], [s, c]])
+            damaged = replace(basis, vectors=v)
+        report = verify_basis(damaged, family, spec)
+        assert len(gram_calls) == 1
+        assert report.max_orthogonality_defect == simdiag._orthogonality_defect(damaged.vectors)
+
+    def test_duplicated_label_with_its_wave_missing_takes_the_exact_path(
+        self, always_fourier, gram_calls
+    ):
+        # Columns 0 and 1 both lie on the plane wave of label 1, which no
+        # column carries after the duplication: every coefficient at the
+        # labels is zero, so the dropped-term bound holds, and only the
+        # bijection test keeps the estimate (1.0) from replacing the true 0.75.
+        spec = LatticeSpec(4, 1.0, 0.2)
+        family, basis = analytic_sym_basis(spec)
+        v = basis.vectors.copy()
+        v[:, 0], v[:, 1] = v[:, 1], 0.5 * v[:, 1]
+        labels = list(basis.labels)
+        labels[1] = labels[0]
+        report = verify_basis(replace(basis, vectors=v, labels=labels), family, spec)
+        assert len(gram_calls) == 1
+        assert math.isclose(report.max_orthogonality_defect, 0.75, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 12, 19, 20, 24])
+    def test_exact_gram_below_the_dimension_threshold(self, n, gram_calls):
+        spec = LatticeSpec(n, 1.3, -0.7)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        verify_basis(basis, family, spec)
+        assert len(gram_calls) == (1 if n * n < simdiag.FOURIER_MIN_DIM else 0)
+
+
 class TestAllocationBudget:
     # Traced peak allocations of one solve and one verification at n = 30,
-    # bounded at the figures this test measured before the refinement moved
-    # into block coordinates (69.2 and 37.1 MiB), rounded up to the next MiB.
-    # A memory regression shows here instead of only in a long benchmark run.
-    REFINE_MIB = 70
-    VERIFY_MIB = 38
+    # bounded at the figures this test measured once the energies and the
+    # verification ran in column chunks (34.8 and 19.8 MiB), rounded up to
+    # the next MiB. A memory regression shows here instead of only in a long
+    # benchmark run.
+    REFINE_MIB = 35
+    VERIFY_MIB = 20
 
     def test_peaks_at_n30(self):
         spec = LatticeSpec(30, 1.3, -0.7)
