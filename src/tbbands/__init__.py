@@ -27,9 +27,6 @@ from .model import (
     CommutingFamily,
     LatticeSpec,
     build_family,
-    build_hamiltonian,
-    build_shift,
-    build_symmetries,
 )
 from .simdiag import (
     CandidateDeficitError,
@@ -67,9 +64,6 @@ __all__ = [
     "analytic_eigenvalue",
     "analytic_eigenvector",
     "build_family",
-    "build_hamiltonian",
-    "build_shift",
-    "build_symmetries",
     "cluster_eigenvalues",
     "compare_to_analytic",
     "compute_basis",

@@ -1,9 +1,10 @@
 """Dense Hermitian eigendecomposition and eigenvalue clustering.
 
 The decomposition delegates to LAPACK through ``numpy.linalg.eigh``; at the
-dimensions this package targets (<= ~1600) the solver returns residuals and
-orthogonality defects of order ``c * eps * ||A||_F`` with c well below 100,
-which is the constant documented on :class:`EigenDecomposition`.
+dimensions this package accepts (up to ``model.MAX_DENSE_DIM`` = 8192) the
+solver returns residuals and orthogonality defects of order
+``c * eps * ||A||_F`` with c well below 100, which is the constant documented
+on :class:`EigenDecomposition`.
 """
 
 from __future__ import annotations

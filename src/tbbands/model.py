@@ -3,17 +3,14 @@
 Site index j = p*n + q, with p the block (y) index and q the in-block (x)
 index, so a vector or a block of columns reshapes to an (n, n, k) site grid.
 The translations are permutations of that grid and H is a five-point stencil
-on it: :class:`CommutingFamily` applies all three exactly, without matrices,
-as ``np.roll`` on the grid. The lattice has two more exact symmetries, the
-site reflections q -> -q and p -> -p; :func:`parity_factors` gives the ring's
-reflection-even and reflection-odd columns, whose products A (x) B split the
-sites into four parity sectors that H maps into themselves, so the one dense
-eigensolve of H runs as four eigensolves of about a quarter of the dimension.
-The one dense matrix kept is the real symmetric H from
-:func:`build_hamiltonian`, which the combination-matrix method multiplies
-with; its norm, which sets the default tolerances, has the closed form
-:func:`hamiltonian_norm`; :func:`build_symmetries` still
-builds the dense complex translations, for that method and for tests.
+on it: :class:`CommutingFamily` holds only the spec and applies all three
+exactly, without matrices, as shifts on the grid. The lattice has two more
+exact symmetries, the site reflections q -> -q and p -> -p;
+:func:`parity_factors` gives the ring's reflection-even and reflection-odd
+columns, whose products A (x) B split the sites into four parity sectors that
+H maps into themselves, so the one dense eigensolve of H runs as four
+eigensolves of about a quarter of the dimension. The norm of H, which sets
+the default tolerances, has the closed form :func:`hamiltonian_norm`.
 """
 
 from __future__ import annotations
@@ -23,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A dense matrix beyond this dimension is hundreds of MiB; refuse early.
+# Largest dimension build_family accepts: the (dim, dim) complex basis a solve
+# returns takes 16 dim^2 bytes, 1 GiB at dim = 8192, and the eigensolve holds
+# a few arrays of that size at once.
 MAX_DENSE_DIM = 8192
 
 # Axes of the (n, n, k) site grid: the in-block (x) index q, the block (y) index p.
@@ -58,49 +57,6 @@ class LatticeSpec:
         return self.n * self.n
 
 
-def build_shift(n: int) -> np.ndarray:
-    """n x n real cyclic shift permutation, first row (0, ..., 0, 1).
-
-    Maps basis vector e_j to e_{(j+1) mod n}; orthogonal, so its transpose is
-    its inverse.
-    """
-    if n < 1:
-        raise ValueError(f"shift size must be >= 1 (got {n})")
-    shift = np.zeros((n, n))
-    shift[np.arange(n), (np.arange(n) - 1) % n] = 1.0
-    return shift
-
-
-def build_chain(spec: LatticeSpec) -> np.ndarray:
-    """One-dimensional ring Hamiltonian: alpha on the diagonal, -t to both cyclic neighbours."""
-    shift = build_shift(spec.n)
-    return spec.alpha * np.eye(spec.n) - spec.t * (shift + shift.T)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard against absurd dense allocations."""
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"kron result dimension {out_dim} exceeds the dense cap {MAX_DENSE_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
-    """Real block-circulant lattice Hamiltonian on the n^2 sites.
-
-    Assembled as I (x) C + (P + P^T) (x) (-t I) with C the ring Hamiltonian and
-    P the cyclic shift. Site index j decomposes as j = p*n + q with p the block
-    (outer) index and q the in-block index. The two Kronecker terms touch
-    disjoint entries, so every entry is exactly alpha or -t: H is exactly real
-    symmetric with four off-diagonal couplings per row.
-    """
-    eye = np.eye(spec.n)
-    shift = build_shift(spec.n)
-    return kron(eye, build_chain(spec)) + kron(shift + shift.T, -spec.t * eye)
-
-
 def hamiltonian_norm(spec: LatticeSpec) -> float:
     """Frobenius norm of H in closed form: n * sqrt(alpha^2 + 4 t^2).
 
@@ -108,13 +64,6 @@ def hamiltonian_norm(spec: LatticeSpec) -> float:
     distinct columns, so ||H||_F^2 = n^2 (alpha^2 + 4 t^2).
     """
     return spec.n * math.hypot(spec.alpha, 2.0 * spec.t)
-
-
-def build_symmetries(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Dense complex translation permutations: (in-block direction, block direction)."""
-    eye = np.eye(spec.n, dtype=complex)
-    shift = build_shift(spec.n)
-    return kron(eye, shift), kron(shift, eye)
 
 
 def translate(v: np.ndarray, n: int, axis: int, step: int) -> np.ndarray:
@@ -152,16 +101,14 @@ def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class CommutingFamily:
-    """The Hamiltonian and the two translations it commutes with.
+    """The Hamiltonian and the two translations it commutes with, given by their spec.
 
     ``apply_h``, ``apply_sx`` and ``apply_sy`` act on a (dim,) vector or a
-    (dim, k) block of columns through the site grid; they equal the dense
-    matrices of :func:`build_hamiltonian` and :func:`build_symmetries` applied
-    to the same input. ``h`` is the read-only dense real Hamiltonian.
+    (dim, k) block of columns through the site grid; they are the only way
+    the package applies H, S_x and S_y.
     """
 
     spec: LatticeSpec
-    h: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -200,21 +147,23 @@ class CommutingFamily:
 
 
 def build_family(spec: LatticeSpec) -> CommutingFamily:
-    """Build H and assert it commutes exactly with both translations.
+    """The family of ``spec``, after checking that its operators commute exactly.
 
-    The translations are the site permutations px and py (S v = v[p]), so
-    [H, S] = 0 reads H[p][:, p] == H entry for entry, and [S_x, S_y] = 0 reads
-    px[py] == py[px]. The checks are exact index arithmetic in O(dim^2); any
-    mismatch is a construction bug, not a numerical artifact.
+    Refuses a dimension above MAX_DENSE_DIM before allocating anything. The
+    commutators [H, S_x], [H, S_y] and [S_x, S_y] are checked on the operators
+    the solver applies, on one probe column of distinct nonzero entries: each
+    output entry of ``apply_h`` is summed in the same order wherever it sits,
+    so a product and its swap agree bit for bit, and any mismatch is a
+    construction bug, not a numerical artifact. The check costs O(dim).
     """
-    h = build_hamiltonian(spec)
-    sites = np.arange(spec.dim)
-    px = translate(sites, spec.n, X_AXIS, 1)
-    py = translate(sites, spec.n, Y_AXIS, 1)
-    for name, p in (("[h, sx]", px), ("[h, sy]", py)):
-        if not np.array_equal(h[np.ix_(p, p)], h):
+    if spec.dim > MAX_DENSE_DIM:
+        raise ValueError(
+            f"dimension {spec.dim} (n = {spec.n}) exceeds the dense cap {MAX_DENSE_DIM}"
+        )
+    family = CommutingFamily(spec=spec)
+    probe = np.arange(1.0, spec.dim + 1.0)
+    h, sx, sy = family.apply_h, family.apply_sx, family.apply_sy
+    for name, a, b in (("[h, sx]", h, sx), ("[h, sy]", h, sy), ("[sx, sy]", sx, sy)):
+        if not np.array_equal(a(b(probe)), b(a(probe))):
             raise AssertionError(f"construction bug: commutator {name} is nonzero")
-    if not np.array_equal(px[py], py[px]):
-        raise AssertionError("construction bug: commutator [sx, sy] is nonzero")
-    h.setflags(write=False)
-    return CommutingFamily(spec=spec, h=h)
+    return family

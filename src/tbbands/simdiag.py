@@ -57,7 +57,6 @@ from .model import (
     Y_AXIS,
     CommutingFamily,
     LatticeSpec,
-    build_symmetries,
     hamiltonian_norm,
     parity_factors,
     translate,
@@ -166,11 +165,13 @@ def combination_matrices(
     """The two dense complex products H(S_x - S_y) and S_x(H - S_y).
 
     Both are members of the commuting algebra generated by the family, hence
-    normal and simultaneously diagonalizable with it.
+    normal and simultaneously diagonalizable with it. Each is the family's
+    operators applied to the columns of the identity: every entry sums at most
+    two nonzero terms, so both equal the dense matrix products exactly.
     """
-    h = family.h
-    sx, sy = build_symmetries(family.spec)
-    return h @ (sx - sy), sx @ (h - sy)
+    eye = np.eye(family.dim, dtype=complex)
+    sy = family.apply_sy(eye)
+    return family.apply_h(family.apply_sx(eye) - sy), family.apply_sx(family.apply_h(eye) - sy)
 
 
 def phase_anchor(v: np.ndarray) -> int | np.ndarray:
@@ -302,8 +303,8 @@ def sector_eigh(family: CommutingFamily) -> EigenDecomposition:
     oo), each of about a quarter of the dimension. The values are merged by
     one stable sort and each sector's P V is written straight into its sorted
     columns. Returns ascending values and real orthonormal (dim, dim) vectors,
-    as ``eig_hermitian(family.h)`` would, in a different basis inside each
-    degenerate eigenspace.
+    as a dense eigensolve of the whole H would, in a different basis inside
+    each degenerate eigenspace.
     """
     n, dim = family.n, family.dim
     even, odd = parity_factors(n)

@@ -15,7 +15,9 @@ from tbbands.analytic import (
     degeneracy_census,
     dispersion_point,
 )
-from tbbands.model import LatticeSpec, build_hamiltonian
+from tbbands.model import LatticeSpec
+
+from dense_reference import dense_h
 
 REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)
 
@@ -111,7 +113,7 @@ class TestEigenvector:
 
     def test_eigen_equation_all_indices_n5(self):
         spec = LatticeSpec(5, 1.0, 0.2)
-        h = build_hamiltonian(spec)
+        h = dense_h(spec)
         for idx in all_indices(5):
             pair = analytic_eigenpair(spec, idx)
             defect = h @ pair.vector - pair.energy * pair.vector
@@ -127,7 +129,7 @@ class TestEigenvector:
     @pytest.mark.parametrize("n", [3, 8, 12])
     def test_residual_against_hamiltonian(self, n):
         spec = LatticeSpec(n, 1.0, 0.2)
-        h = build_hamiltonian(spec)
+        h = dense_h(spec)
         bound = 1e-13 * np.linalg.norm(h)
         for idx in all_indices(n):
             pair = analytic_eigenpair(spec, idx)

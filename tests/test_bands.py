@@ -11,7 +11,9 @@ from tbbands.bands import (
     compute_spectrum,
 )
 from tbbands.eigen import cluster_eigenvalues
-from tbbands.model import LatticeSpec, build_hamiltonian
+from tbbands.model import LatticeSpec
+
+from dense_reference import dense_h
 
 REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)
 
@@ -94,7 +96,7 @@ class TestComputeSpectrum:
         spec = LatticeSpec(5, 1.0, 0.2)
         band, _ = compute_dispersion(spec)
         spectrum = compute_spectrum(spec)
-        bound = 1e-10 * np.linalg.norm(build_hamiltonian(spec))
+        bound = 1e-10 * np.linalg.norm(dense_h(spec))
         assert np.abs(np.sort(band.energy) - spectrum.values).max() <= bound
 
 

@@ -345,6 +345,17 @@ class TestUsage:
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "bands", "verify"])
+    def test_above_dense_cap_is_compute_error(self, command, capsys):
+        # n = 91 gives dim 8281 > 8192: refused before any solve, in one line
+        assert cli.main([command, "--n", "91"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"tbbands {command}: ")
+        assert "dense cap 8192" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_analytic_takes_no_solver_flags(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["analytic", "--n", "4", "--method", "refine"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -5,25 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from tbbands import model
 from tbbands.model import (
+    MAX_DENSE_DIM,
     X_AXIS,
     Y_AXIS,
+    CommutingFamily,
     LatticeSpec,
-    build_chain,
     build_family,
-    build_hamiltonian,
-    build_shift,
-    build_symmetries,
     hamiltonian_norm,
-    kron,
     parity_factors,
     translate,
 )
+
+from dense_reference import dense_h, dense_operators
 
 
 def charpoly_roots(matrix):
@@ -51,105 +49,124 @@ class TestLatticeSpec:
         assert LatticeSpec(5, 1.0, 0.2).dim == 25
 
 
+def ring_shift(n):
+    """The n-site cyclic shift as ``translate`` applies it along the x axis of
+    an n x n grid: the first in-block diagonal block of S_x."""
+    return translate(np.eye(n * n, n), n, X_AXIS, 1)[:n]
+
+
 class TestShift:
     def test_first_rows_n3(self):
-        s = build_shift(3)
-        assert np.array_equal(s.real, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert np.array_equal(ring_shift(3), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
     def test_n1_is_identity(self):
-        assert np.array_equal(build_shift(1), [[1.0]])
+        for axis in (X_AXIS, Y_AXIS):
+            assert np.array_equal(translate(np.eye(1), 1, axis, 1), [[1.0]])
 
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
-            build_shift(0)
+            LatticeSpec(0, 1.0, 0.2)
+        # a vector that does not fill the n x n grid is refused, not truncated
+        with pytest.raises(ValueError):
+            translate(np.ones(5), 2, X_AXIS, 1)
 
     @given(st.integers(1, 40))
     def test_orthogonal_permutation(self, n):
-        s = build_shift(n)
-        assert np.array_equal(s.T @ s, np.eye(n, dtype=complex))
-        # exactly one 1 per row and column
-        assert np.array_equal(np.abs(s).sum(axis=0), np.ones(n))
-        assert np.array_equal(np.abs(s).sum(axis=1), np.ones(n))
+        # every site index lands exactly once, and the step -1 (the
+        # transpose) undoes the step +1: an orthogonal permutation
+        sites = np.arange(n * n)
+        for axis in (X_AXIS, Y_AXIS):
+            moved = translate(sites, n, axis, 1)
+            assert np.array_equal(np.sort(moved), sites)
+            assert np.array_equal(translate(moved, n, axis, -1), sites)
 
     def test_period_n(self):
         for n in (3, 5):
-            s = build_shift(n)
-            assert np.array_equal(np.linalg.matrix_power(s, n), np.eye(n, dtype=complex))
+            family = build_family(LatticeSpec(n, 1.0, 0.2))
+            sites = np.arange(n * n)
+            for apply in (family.apply_sx, family.apply_sy):
+                v = sites
+                for step in range(1, n + 1):
+                    v = apply(v)
+                    assert np.array_equal(v, sites) == (step == n)
+
+
+def hamiltonian_matrix(spec):
+    """H as ``apply_h`` applies it, column by column."""
+    return build_family(spec).apply_h(np.eye(spec.dim))
+
+
+def ring_block(spec):
+    """The in-block (p = 0) diagonal block of H: the n-site ring Hamiltonian."""
+    return hamiltonian_matrix(spec)[: spec.n, : spec.n]
 
 
 class TestChain:
     def test_ring_structure_n4(self):
-        c = build_chain(LatticeSpec(4, 1.0, 0.2))
-        assert np.array_equal(np.diag(c), np.full(4, 1.0 + 0j))
+        c = ring_block(LatticeSpec(4, 1.0, 0.2))
+        assert np.array_equal(np.diag(c), np.full(4, 1.0))
         assert c[0, 1] == c[0, 3] == -0.2
         assert c[0, 2] == 0.0
 
     def test_t_zero_is_scalar(self):
-        c = build_chain(LatticeSpec(3, 0.7, 0.0))
+        c = ring_block(LatticeSpec(3, 0.7, 0.0))
         assert np.array_equal(c, 0.7 * np.eye(3))
 
     def test_eigenvalues_against_charpoly_oracle(self):
-        c = build_chain(LatticeSpec(3, 1.0, 0.2))
+        c = ring_block(LatticeSpec(3, 1.0, 0.2))
         roots = charpoly_roots(c)
         assert np.allclose(roots, [0.6, 1.2, 1.2], atol=1e-12)
         assert np.allclose(np.linalg.eigvalsh(c), roots, atol=1e-12)
 
 
 class TestKron:
+    """The Kronecker layout of the translations: S_x = I (x) P, S_y = P (x) I,
+    with P the ring shift."""
+
     def test_identity_factor_gives_block_diagonal(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = kron(np.eye(2, dtype=complex), x)
-        assert np.array_equal(out[:2, :2], x)
-        assert np.array_equal(out[2:, 2:], x)
-        assert np.array_equal(out[:2, 2:], np.zeros((2, 2)))
+        n = 3
+        sx = build_family(LatticeSpec(n, 1.0, 0.2)).apply_sx(np.eye(n * n))
+        for p in range(n):
+            for q in range(n):
+                block = sx[p * n : (p + 1) * n, q * n : (q + 1) * n]
+                assert np.array_equal(block, ring_shift(n) if p == q else np.zeros((n, n)))
 
     def test_shift_factor_swaps_block_halves(self):
-        out = kron(build_shift(2), np.eye(2, dtype=complex))
-        want = np.zeros((4, 4), dtype=complex)
+        out = translate(np.eye(4), 2, Y_AXIS, 1)
+        want = np.zeros((4, 4))
         want[2:, :2] = np.eye(2)
         want[:2, 2:] = np.eye(2)
         assert np.array_equal(out, want)
 
-    @settings(max_examples=50)
-    @given(
-        *(
-            hnp.arrays(np.int64, (3, 3), elements=st.integers(-5, 5))
-            for _ in range(4)
-        )
-    )
-    def test_mixed_product_rule(self, a, b, c, d):
-        a, b, c, d = (m.astype(complex) for m in (a, b, c, d))
-        assert np.array_equal(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
-
     def test_rejects_oversized_result(self):
-        big = np.eye(200, dtype=complex)
+        # the cap sits exactly at MAX_DENSE_DIM: n = 90 (8100) passes, n = 91 (8281) does not
+        assert build_family(LatticeSpec(90, 1.0, 0.2)).dim == 8100 <= MAX_DENSE_DIM
         with pytest.raises(ValueError, match="cap"):
-            kron(big, big)
+            build_family(LatticeSpec(91, 1.0, 0.2))
 
 
 class TestHamiltonian:
     def test_row0_nonzeros_n4(self):
-        h = build_hamiltonian(LatticeSpec(4, 1.0, 0.2))
-        row = h[0]
+        row = hamiltonian_matrix(LatticeSpec(4, 1.0, 0.2))[0]
         nonzero = {j: row[j] for j in range(16) if row[j] != 0}
         assert nonzero == {0: 1.0, 1: -0.2, 3: -0.2, 4: -0.2, 12: -0.2}
 
     def test_t_zero_is_scalar_matrix(self):
-        h = build_hamiltonian(LatticeSpec(3, 1.0, 0.0))
-        assert np.array_equal(h, np.eye(9, dtype=complex))
+        h = hamiltonian_matrix(LatticeSpec(3, 1.0, 0.0))
+        assert np.array_equal(h, np.eye(9))
 
     def test_trace_is_correctly_rounded_diagonal_sum(self):
-        h = build_hamiltonian(LatticeSpec(5, 0.7, 0.3))
-        assert math.fsum(np.diag(h).real) == 17.5
+        h = hamiltonian_matrix(LatticeSpec(5, 0.7, 0.3))
+        assert math.fsum(np.diag(h)) == 17.5
 
     def test_exactly_symmetric(self):
-        h = build_hamiltonian(LatticeSpec(6, 0.9, 0.4))
+        h = hamiltonian_matrix(LatticeSpec(6, 0.9, 0.4))
+        assert h.dtype == np.float64
         assert np.array_equal(h, h.T)
-        assert np.array_equal(h.imag, np.zeros_like(h.imag))
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_four_couplings_per_row(self, n):
-        h = build_hamiltonian(LatticeSpec(n, 1.0, 0.2))
+        h = hamiltonian_matrix(LatticeSpec(n, 1.0, 0.2))
         for i in range(n * n):
             offdiag = [h[i, j] for j in range(n * n) if j != i and h[i, j] != 0]
             assert len(offdiag) == 4
@@ -158,9 +175,12 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_matches_explicit_block_assembly(self, n):
         spec = LatticeSpec(n, 1.3, 0.45)
-        chain = build_chain(spec)
-        coupling = -spec.t * np.eye(n, dtype=complex)
-        want = np.zeros((n * n, n * n), dtype=complex)
+        chain = np.zeros((n, n))
+        for q in range(n):
+            chain[q, q] = spec.alpha
+            chain[q, (q + 1) % n] = chain[q, (q - 1) % n] = -spec.t
+        coupling = -spec.t * np.eye(n)
+        want = np.zeros((n * n, n * n))
         for p in range(n):
             for q in range(n):
                 delta = (q - p) % n
@@ -168,12 +188,13 @@ class TestHamiltonian:
                     want[p * n : (p + 1) * n, q * n : (q + 1) * n] = chain
                 elif delta in (1, n - 1):
                     want[p * n : (p + 1) * n, q * n : (q + 1) * n] = coupling
-        assert np.array_equal(build_hamiltonian(spec), want)
+        assert np.array_equal(hamiltonian_matrix(spec), want)
+        assert np.array_equal(dense_h(spec), want)
 
     def test_entry_sum_of_squares(self):
         spec = LatticeSpec(6, 0.8, 0.3)
-        h = build_hamiltonian(spec)
-        total = math.fsum((np.abs(h) ** 2).ravel())
+        h = hamiltonian_matrix(spec)
+        total = math.fsum((h**2).ravel())
         n2 = spec.n**2
         want = n2 * spec.alpha**2 + 4 * n2 * spec.t**2
         assert math.isclose(total, want, rel_tol=1e-13)
@@ -184,30 +205,35 @@ class TestHamiltonian:
         draws = [(float(a), float(t)) for a, t in rng.uniform(-3.0, 3.0, (3, 2))]
         for alpha, t in draws + [(1.3, 0.0), (0.0, -0.7), (0.0, 0.0)]:
             spec = LatticeSpec(n, alpha, t)
-            want = np.linalg.norm(build_hamiltonian(spec))
+            want = np.linalg.norm(dense_h(spec))
             assert math.isclose(hamiltonian_norm(spec), want, rel_tol=1e-15)
 
 
 class TestSymmetries:
     def test_kron_layout(self):
         # x-translation acts inside blocks, y-translation across blocks
-        sx, sy = build_symmetries(LatticeSpec(3, 1.0, 0.2))
-        shift = build_shift(3)
-        assert np.array_equal(sx[:3, :3], shift)
-        assert np.array_equal(sx[3:6, 3:6], shift)
-        assert np.array_equal(sy[3:6, :3], np.eye(3, dtype=complex))
+        family = build_family(LatticeSpec(3, 1.0, 0.2))
+        sx = family.apply_sx(np.eye(9))
+        sy = family.apply_sy(np.eye(9))
+        assert np.array_equal(sx[:3, :3], ring_shift(3))
+        assert np.array_equal(sx[3:6, 3:6], ring_shift(3))
+        assert np.array_equal(sy[3:6, :3], np.eye(3))
 
     def test_orthogonal(self):
-        sx, sy = build_symmetries(LatticeSpec(4, 1.0, 0.2))
-        assert np.array_equal(sx @ sx.T, np.eye(16, dtype=complex))
-        assert np.array_equal(sy @ sy.T, np.eye(16, dtype=complex))
+        family = build_family(LatticeSpec(4, 1.0, 0.2))
+        for apply in (family.apply_sx, family.apply_sy):
+            s = apply(np.eye(16))
+            assert np.array_equal(s @ s.T, np.eye(16))
 
     def test_period_n(self):
-        sx, _ = build_symmetries(LatticeSpec(5, 1.0, 0.2))
-        assert np.array_equal(np.linalg.matrix_power(sx, 5), np.eye(25, dtype=complex))
+        family = build_family(LatticeSpec(5, 1.0, 0.2))
+        sx = family.apply_sx(np.eye(25))
+        assert np.array_equal(np.linalg.matrix_power(sx, 5), np.eye(25))
 
     def test_permutation_structure(self):
-        for s in build_symmetries(LatticeSpec(4, 1.0, 0.2)):
+        family = build_family(LatticeSpec(4, 1.0, 0.2))
+        for apply in (family.apply_sx, family.apply_sy):
+            s = apply(np.eye(16))
             assert np.array_equal(np.abs(s).sum(axis=0), np.ones(16))
             assert np.array_equal(np.abs(s).sum(axis=1), np.ones(16))
 
@@ -239,13 +265,15 @@ class TestFamily:
         assert family.n == 8
 
     def test_matrices_frozen(self):
+        # the family holds its spec and no matrix, and cannot be rebound
         family = build_family(LatticeSpec(3, 1.0, 0.2))
-        with pytest.raises(ValueError):
-            family.h[0, 0] = 5.0
+        assert [f.name for f in dataclasses.fields(CommutingFamily)] == ["spec"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            family.spec = LatticeSpec(3, 2.0, 0.2)
 
     def test_hamiltonian_is_real(self):
         family = build_family(LatticeSpec(4, 1.0, 0.2))
-        assert family.h.dtype == np.float64
+        assert family.apply_h(np.eye(16)).dtype == np.float64
 
     @pytest.mark.parametrize(
         "sites,name",
@@ -258,12 +286,14 @@ class TestFamily:
         ],
     )
     def test_corrupted_stencil_fails_commutator_check(self, monkeypatch, sites, name):
-        def corrupted(spec):
-            h = build_hamiltonian(spec)
-            h[sites, sites] += 1.0
-            return h
+        stencil = CommutingFamily.apply_h
 
-        monkeypatch.setattr(model, "build_hamiltonian", corrupted)
+        def corrupted(self, v):
+            out = stencil(self, v)
+            out[sites] += v[sites]
+            return out
+
+        monkeypatch.setattr(CommutingFamily, "apply_h", corrupted)
         with pytest.raises(AssertionError, match=re.escape(name)):
             build_family(LatticeSpec(5, 1.0, 0.2))
 
@@ -277,14 +307,24 @@ class TestFamily:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_building_allocates_no_dense_operator(self):
+        # the family is its spec: the commutator check runs on one probe
+        # column, far below the 99 MiB a dense H takes at n = 60
+        tracemalloc.start()
+        try:
+            build_family(LatticeSpec(60, 1.3, -0.7))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestMatrixFreeOperators:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_bit_identical_to_dense_matrices(self, n):
         spec = LatticeSpec(n, 1.375, -0.625)
         family = build_family(spec)
-        h = build_hamiltonian(spec)
-        sx, sy = build_symmetries(spec)
+        h, sx, sy = dense_operators(spec)
         v = dyadic_block(np.random.default_rng(n), n * n, 6)
         for apply, dense in ((family.apply_h, h), (family.apply_sx, sx), (family.apply_sy, sy)):
             assert np.array_equal(apply(v), dense @ v)
@@ -297,13 +337,13 @@ class TestMatrixFreeOperators:
         spec = LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
         family = build_family(spec)
         v = rng.standard_normal((n * n, 6)) + 1j * rng.standard_normal((n * n, 6))
-        want = build_hamiltonian(spec) @ v
+        want = dense_h(spec) @ v
         scale = (abs(spec.alpha) + 4 * abs(spec.t)) * np.abs(v).max()
         assert np.abs(family.apply_h(v) - want).max() <= 8 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_negative_step_is_transpose(self, n):
-        sx, sy = build_symmetries(LatticeSpec(n, 1.0, 0.2))
+        _h, sx, sy = dense_operators(LatticeSpec(n, 1.0, 0.2))
         v = dyadic_block(np.random.default_rng(n), n * n, 4)
         assert np.array_equal(translate(v, n, X_AXIS, -1), sx.T @ v)
         assert np.array_equal(translate(v, n, Y_AXIS, -1), sy.T @ v)
@@ -360,10 +400,11 @@ class TestParityFactors:
         # H maps each sector's columns A (x) B into that sector: folding them
         # onto any other sector leaves rounding only
         rng = np.random.default_rng(n)
-        family = build_family(LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5))))
+        spec = LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
+        family = build_family(spec)
         even, odd = parity_factors(n)
         sectors = [np.kron(a, b) for a in (even, odd) for b in (even, odd)]
-        bound = 1e-15 * np.linalg.norm(family.h)
+        bound = 1e-15 * np.linalg.norm(dense_h(spec))
         for i, source in enumerate(sectors):
             applied = family.apply_h(source)
             for j, target in enumerate(sectors):

@@ -17,13 +17,7 @@ from tbbands.analytic import (
 from tbbands.cli import VERIFY_THRESHOLDS
 from tbbands import simdiag
 from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
-from tbbands.model import (
-    CommutingFamily,
-    LatticeSpec,
-    build_family,
-    build_shift,
-    build_symmetries,
-)
+from tbbands.model import X_AXIS, CommutingFamily, LatticeSpec, build_family, translate
 from tbbands.simdiag import (
     FILTER_RTOL,
     STAGE_GAP_TOL,
@@ -40,6 +34,8 @@ from tbbands.simdiag import (
     simultaneous_basis_refine,
     verify_basis,
 )
+
+from dense_reference import dense_h, dense_operators
 
 
 def all_indices(n):
@@ -79,6 +75,20 @@ def analytic_sym_basis(spec):
 
 
 class TestCombinationMatrices:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_equal_dense_products_exactly(self, n):
+        # equal in value and dtype; only the sign of some zero imaginary
+        # parts can differ from a BLAS product, and -0.0 == 0.0
+        rng = np.random.default_rng(n)
+        draws = [(float(a), float(t)) for a, t in rng.uniform(-3.0, 3.0, (2, 2))]
+        for alpha, t in draws + [(1.3, -0.7), (1.3, 0.0), (0.0, 0.2)]:
+            spec = LatticeSpec(n, alpha, t)
+            h, sx, sy = dense_operators(spec)
+            k1, k2 = combination_matrices(build_family(spec))
+            for got, want in ((k1, h @ (sx - sy)), (k2, sx @ (h - sy))):
+                assert got.dtype == want.dtype == np.complex128
+                assert np.array_equal(got, want)
+
     def test_stay_in_commuting_algebra(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
         k1, k2 = combination_matrices(family)
@@ -268,13 +278,15 @@ class TestSectorEigh:
         + [(n, 1e3, 0.7) for n in (4, 7, 12)],
     )
     def test_matches_dense_eigh(self, n, alpha, t):
-        family = build_family(LatticeSpec(n, alpha, t))
+        spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        h = dense_h(spec)
         got = simdiag.sector_eigh(family)
-        want = eig_hermitian(family.h)
-        scale = np.linalg.norm(family.h)
+        want = eig_hermitian(h)
+        scale = np.linalg.norm(h)
         assert got.vectors.shape == (n * n, n * n) and got.vectors.dtype == np.float64
         assert np.abs(got.values - want.values).max() <= 1e-13 * scale
-        tol = default_gap_tol(family.h)
+        tol = default_gap_tol(h)
         assert (
             cluster_eigenvalues(got.values, tol).clusters
             == cluster_eigenvalues(want.values, tol).clusters
@@ -335,7 +347,7 @@ class TestRefine:
         rotation = np.exp(0.5j * math.pi / n)
         rng = np.random.default_rng(n)
         q, _ = np.linalg.qr(rng.standard_normal((n * n, 5)))
-        for s in build_symmetries(LatticeSpec(n, 1.0, 0.2)):
+        for s in dense_operators(LatticeSpec(n, 1.0, 0.2))[1:]:
             dense = simdiag._stage(s.real, n)
             assert np.abs(dense - (rotation * s + rotation.conjugate() * s.T) / 2.0).max() <= 1e-16
             assert np.array_equal(dense, dense.conj().T)
@@ -350,7 +362,9 @@ class TestRefine:
         # n eigenvalues at least 1e-3 apart (six orders above STAGE_GAP_TOL).
         steps = np.arange(n)
         waves = np.exp(2j * math.pi * (np.outer(steps, steps) % n) / n) / math.sqrt(n)
-        applied = simdiag._stage(build_shift(n), n) @ waves
+        # the x-translation of the first block's n sites, within that block
+        shift = translate(np.eye(n * n, n), n, X_AXIS, 1)[:n]
+        applied = simdiag._stage(shift, n) @ waves
         values = np.einsum("ij,ij->j", waves.conj(), applied)
         assert np.abs(applied - waves * values).max() <= 1e-14
         assert np.abs(values.imag).max() <= 1e-15
@@ -396,7 +410,8 @@ class TestRefine:
         assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
         assert all(sizes.count(k) <= 2 for k in sizes)
-        h_blocks = cluster_eigenvalues(eig_hermitian(family.h).values, default_gap_tol(family.h))
+        h = dense_h(family.spec)
+        h_blocks = cluster_eigenvalues(eig_hermitian(h).values, default_gap_tol(h))
         assert len(stages) <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
 
     @pytest.mark.parametrize(
@@ -445,11 +460,11 @@ class TestRefine:
         spec = LatticeSpec(n, alpha, t)
         family = build_family(spec)
         want = simultaneous_basis_refine(family)
-        got = simultaneous_basis_refine(CommutingFamily(spec=spec, h=None))
+        got = simultaneous_basis_refine(CommutingFamily(spec=spec))
         assert np.array_equal(got.vectors, want.vectors)
         assert np.array_equal(got.energies, want.energies)
         assert got.labels == want.labels
-        dense = FILTER_RTOL * np.linalg.norm(family.h)
+        dense = FILTER_RTOL * np.linalg.norm(dense_h(spec))
         assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
 
     def test_chunked_energies_equal_whole_basis_quotients(self):
