@@ -74,27 +74,21 @@ def band_from_energies(
 
 
 def compute_basis(
-    spec: LatticeSpec,
-    method: str = "refine",
-    gap_tol: float | None = None,
-    filter_tol: float | None = None,
+    spec: LatticeSpec, method: str = "refine"
 ) -> tuple[CommutingFamily, SymBasis]:
     """Build the operator family and solve for its simultaneous eigenbasis."""
     family = build_family(spec)
     if method == "refine":
-        basis = simultaneous_basis_refine(family, gap_tol)
+        basis = simultaneous_basis_refine(family)
     elif method == "combination":
-        basis = simultaneous_basis_combination(family, gap_tol, filter_tol)
+        basis = simultaneous_basis_combination(family)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return family, basis
 
 
 def compute_dispersion(
-    spec: LatticeSpec,
-    method: str = "refine",
-    gap_tol: float | None = None,
-    filter_tol: float | None = None,
+    spec: LatticeSpec, method: str = "refine"
 ) -> tuple[BandData, VerificationReport]:
     """Numerical dispersion relation plus the verification report of its basis.
 
@@ -102,7 +96,7 @@ def compute_dispersion(
     substitutions, so comparing them against the analytic values measures real
     solver error.
     """
-    family, basis = compute_basis(spec, method, gap_tol, filter_tol)
+    family, basis = compute_basis(spec, method)
     band = band_from_energies(spec, basis.labels, basis.energies)
     return band, verify_basis(basis, family, spec)
 
@@ -110,9 +104,12 @@ def compute_dispersion(
 def compute_spectrum(spec: LatticeSpec) -> SpectrumData:
     """Sorted eigenvalues of the Hamiltonian (no momentum labels needed).
 
-    The same reflection-parity sector eigensolve the refine method starts from.
+    The eigenvalues alpha - t lambda of H = alpha I - t A, from the same
+    reflection-parity sector eigensolve of the hopping operator A that the
+    refine method starts from.
     """
-    return SpectrumData(values=sector_eigh(build_family(spec)).values)
+    hopping = sector_eigh(build_family(spec).n).values
+    return SpectrumData(values=np.sort(spec.alpha - spec.t * hopping))
 
 
 def analytic_dispersion(spec: LatticeSpec) -> BandData:

@@ -54,8 +54,6 @@ class RunConfig:
     alpha: float
     t: float
     method: str = "refine"
-    gap_tol: float | None = None
-    filter_tol: float | None = None
     output_path: str | None = None
     vectors_path: str | None = None
 
@@ -121,9 +119,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_bands(config: RunConfig) -> int:
     spec = config.spec()
-    _family, basis = compute_basis(
-        spec, config.method, config.gap_tol, config.filter_tol
-    )
+    _family, basis = compute_basis(spec, config.method)
     band = band_from_energies(spec, basis.labels, basis.energies)
     _write_band_csv(config.output_path, band)
     if config.vectors_path is not None:
@@ -133,9 +129,7 @@ def cmd_bands(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     spec = config.spec()
-    family, basis = compute_basis(
-        spec, config.method, config.gap_tol, config.filter_tol
-    )
+    family, basis = compute_basis(spec, config.method)
     report = verify_basis(basis, family, spec)
     _write_lines(
         config.output_path, [f"{key}={_fmt(value)}" for key, value in report.as_dict().items()]
@@ -187,8 +181,6 @@ def _add_common_flags(
             "--method", choices=METHODS, default="refine",
             help="simultaneous-basis algorithm (default refine)",
         )
-        sub.add_argument("--gap-tol", type=float, default=None, help="eigenvalue degeneracy gap")
-        sub.add_argument("--filter-tol", type=float, default=None, help="simultaneity residual threshold (combination method)")
     if with_vectors:
         sub.add_argument("--vectors", default=None, help="also write eigenvectors (interleaved real/imag CSV, one per line)")
 
@@ -238,15 +230,9 @@ def main(argv=None) -> int:
         alpha=args.alpha,
         t=args.t,
         method=getattr(args, "method", "refine"),
-        gap_tol=getattr(args, "gap_tol", None),
-        filter_tol=getattr(args, "filter_tol", None),
         output_path=args.out,
         vectors_path=getattr(args, "vectors", None),
     )
-    if config.gap_tol is not None and config.gap_tol <= 0:
-        parser.error(f"--gap-tol must be > 0 (got {config.gap_tol})")
-    if config.filter_tol is not None and config.filter_tol <= 0:
-        parser.error(f"--filter-tol must be > 0 (got {config.filter_tol})")
     try:
         return _COMMANDS[args.command](config)
     except (SimultaneousDiagonalizationError, np.linalg.LinAlgError, ValueError) as exc:

@@ -47,17 +47,11 @@ class EigenvalueClusters:
     """Partition of [0, dim) into index ranges of gap-connected eigenvalues."""
 
     clusters: list[range]
-    gap_tol: float
 
 
 def default_gap_tol(a: np.ndarray) -> float:
     """1e-9 * ||A||_F / sqrt(dim): far above solver noise, far below genuine gaps."""
-    return gap_tol_for_norm(np.linalg.norm(a), a.shape[0])
-
-
-def gap_tol_for_norm(norm: float, dim: int) -> float:
-    """:func:`default_gap_tol` of a (dim, dim) matrix with Frobenius norm ``norm``."""
-    scale = norm / math.sqrt(dim)
+    scale = np.linalg.norm(a) / math.sqrt(a.shape[0])
     return 1e-9 * scale if scale > 0.0 else np.finfo(float).eps
 
 
@@ -111,4 +105,4 @@ def cluster_eigenvalues(values: np.ndarray, gap_tol: float) -> EigenvalueCluster
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
     stops = np.append(starts[1:], values.size)
     clusters = [range(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
-    return EigenvalueClusters(clusters=clusters, gap_tol=gap_tol)
+    return EigenvalueClusters(clusters=clusters)

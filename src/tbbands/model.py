@@ -2,15 +2,17 @@
 
 Site index j = p*n + q, with p the block (y) index and q the in-block (x)
 index, so a vector or a block of columns reshapes to an (n, n, k) site grid.
-The translations are permutations of that grid and H is a five-point stencil
-on it: :class:`CommutingFamily` holds only the spec and applies all three
-exactly, without matrices, as shifts on the grid. The lattice has two more
-exact symmetries, the site reflections q -> -q and p -> -p;
-:func:`parity_factors` gives the ring's reflection-even and reflection-odd
-columns, whose products A (x) B split the sites into four parity sectors that
-H maps into themselves, so the one dense eigensolve of H runs as four
-eigensolves of about a quarter of the dimension. The norm of H, which sets
-the default tolerances, has the closed form :func:`hamiltonian_norm`.
+The translations are permutations of that grid and H = alpha I - t A, where
+the hopping operator A (:func:`apply_hopping`) sums the four unit neighbour
+shifts: :class:`CommutingFamily` holds only the spec and applies all three
+exactly, without matrices, as shifts on the grid. A depends on n alone, so
+its eigenvectors are H's for every (alpha, t), and the parameters only set
+the energies. The lattice has two more exact symmetries, the site reflections
+q -> -q and p -> -p; :func:`parity_factors` gives the ring's reflection-even
+and reflection-odd columns, whose Kronecker products split the sites into
+four parity sectors that A maps into themselves, so the one dense eigensolve
+runs as four eigensolves of about a quarter of the dimension. The norm of H
+has the closed form :func:`hamiltonian_norm`.
 """
 
 from __future__ import annotations
@@ -75,6 +77,28 @@ def translate(v: np.ndarray, n: int, axis: int, step: int) -> np.ndarray:
     return np.roll(v.reshape(n, n, -1), step, axis=axis).reshape(v.shape)
 
 
+def apply_hopping(v: np.ndarray, n: int) -> np.ndarray:
+    """A v for the hopping operator A, the sum of the four unit neighbour shifts.
+
+    ``v`` is a (dim,) vector or a (dim, k) block. The shifts are added into
+    one buffer by wrap-around slices, in the order +1 and -1 on the y axis,
+    then +1 and -1 on the x axis: the same sums as adding the four
+    ``np.roll`` copies, bit for bit. A is real, symmetric and parameter-free;
+    H = alpha I - t A.
+    """
+    g = v.reshape(n, n, -1)
+    hop = np.empty_like(g)
+    hop[1:] = g[:-1]
+    hop[0] = g[-1]
+    hop[:-1] += g[1:]
+    hop[-1] += g[0]
+    hop[:, 1:] += g[:, :-1]
+    hop[:, 0] += g[:, -1]
+    hop[:, :-1] += g[:, 1:]
+    hop[:, -1] += g[:, 0]
+    return hop.reshape(v.shape)
+
+
 def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real orthonormal reflection-even and reflection-odd columns of the n-site ring.
 
@@ -82,9 +106,9 @@ def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     are e_0, (e_j + e_{n-j})/sqrt(2) for 0 < j < n/2, and e_{n/2} when n is
     even, (n, n//2 + 1); the odd columns are (e_j - e_{n-j})/sqrt(2) for
     0 < j < n/2, (n, (n-1)//2). Side by side they form an orthogonal matrix.
-    On the lattice the reflections q -> -q and p -> -p commute with H, so
-    with A and B each one of the two factors, the columns A (x) B of one
-    parity sector span a subspace H maps into itself.
+    On the lattice the reflections q -> -q and p -> -p commute with the
+    hopping operator, so with F and G each one of the two factors, the
+    columns F (x) G of one parity sector span a subspace it maps into itself.
     """
     half = (n - 1) // 2
     j = np.arange(1, half + 1)
@@ -125,25 +149,11 @@ class CommutingFamily:
         return translate(v, self.n, Y_AXIS, 1)
 
     def apply_h(self, v: np.ndarray) -> np.ndarray:
-        """alpha * v minus t times the sum of the four neighbour shifts.
-
-        The shifts are added into one buffer by wrap-around slices, in the
-        order +1 and -1 on the y axis, then +1 and -1 on the x axis: the
-        same sums as adding the four ``np.roll`` copies, bit for bit.
-        """
-        g = v.reshape(self.n, self.n, -1)
-        hop = np.empty_like(g)
-        hop[1:] = g[:-1]
-        hop[0] = g[-1]
-        hop[:-1] += g[1:]
-        hop[-1] += g[0]
-        hop[:, 1:] += g[:, :-1]
-        hop[:, 0] += g[:, -1]
-        hop[:, :-1] += g[:, 1:]
-        hop[:, -1] += g[:, 0]
+        """alpha * v minus t times the hopping operator A applied to v."""
+        hop = apply_hopping(v, self.n)
         hop *= -self.spec.t
-        hop += self.spec.alpha * g
-        return hop.reshape(v.shape)
+        hop += self.spec.alpha * v
+        return hop
 
 
 def build_family(spec: LatticeSpec) -> CommutingFamily:

@@ -4,24 +4,27 @@ A generic dense eigensolver applied to H alone returns an arbitrary
 orthonormal basis inside every degenerate eigenspace, and such vectors carry
 no momentum label. The routines here resolve the ambiguity in two ways:
 
-* :func:`simultaneous_basis_refine` (default): diagonalize the real H, then
-  within each degenerate cluster diagonalize the projection of one
+* :func:`simultaneous_basis_refine` (default): H = alpha I - t A, with A the
+  parameter-free hopping operator, so the basis is solved for A alone and
+  alpha and t only set the energies, alpha - t (v* A v). Diagonalize the real
+  A, then within each degenerate cluster diagonalize the projection of one
   phase-rotated Hermitian part of S_x, then of S_y. Only Hermitian
   eigendecompositions are ever needed: the rotated part
   (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n) has n distinct
   eigenvalues, so one stage per axis pins each translation eigenvalue uniquely
-  on the unit circle. S_x and S_y are projected once onto each cluster of H's
+  on the unit circle. S_x and S_y are projected once onto each cluster of A's
   eigenvectors; the stages then act on the clusters' k x k coordinates, all
   blocks of one size in one stacked call, and the complex basis is formed
-  once, from the final coordinates.
+  once, from the final coordinates. Every tolerance is a constant of the
+  operator it clusters, and the block partition depends on n alone.
 
-  H itself is diagonalized by :func:`sector_eigh`, in the four sectors of the
-  two site reflections q -> -q and p -> -p, which commute with H: four dense
+  A itself is diagonalized by :func:`sector_eigh`, in the four sectors of the
+  two site reflections q -> -q and p -> -p, which commute with A: four dense
   eigensolves of about dim/4 in place of one of dim, about 1/16 of the flops.
   The reflections do not commute with the translations, so a parity-adapted
   eigenvector carries no momentum: each sector's solver still returns an
   arbitrary basis inside its degenerate subspaces (the (r, s) and (s, r)
-  modes, say), and an H-cluster spans several sectors. Every momentum label
+  modes, say), and a cluster of A spans several sectors. Every momentum label
   still comes from the translation stages.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
@@ -45,18 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import MomentumIndex, analytic_eigenvalue, analytic_eigenvector
-from .eigen import (
-    EigenDecomposition,
-    cluster_eigenvalues,
-    default_gap_tol,
-    eig_hermitian,
-    gap_tol_for_norm,
-)
+from .eigen import EigenDecomposition, cluster_eigenvalues, default_gap_tol, eig_hermitian
 from .model import (
     X_AXIS,
     Y_AXIS,
     CommutingFamily,
     LatticeSpec,
+    apply_hopping,
     hamiltonian_norm,
     parity_factors,
     translate,
@@ -87,6 +85,11 @@ UNIT_CIRCLE_TOL = 1e-8
 # ||M||_F / sqrt(dim) is sqrt(1/2) for every n >= 3 (two entries of modulus
 # 1/2 per row).
 STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
+
+# Gap tolerance of the hopping operator A's eigenvalues: default_gap_tol of A,
+# 1e-9 * ||A||_F / sqrt(dim), where ||A||_F = 2n for every n >= 3 (four unit
+# entries at distinct columns per row), so the scale is 2 at every size.
+HOPPING_GAP_TOL = 2e-9
 
 # Columns per chunk of the passes over a whole basis: the energies in
 # _assemble, and the residuals, the oracle comparison and the orthogonality
@@ -122,7 +125,8 @@ class SymBasis:
     """Unitary basis of simultaneous eigenvectors, ordered by (r, s) label.
 
     ``vectors[:, j]`` is a simultaneous eigenvector; ``energies[j]`` its
-    Rayleigh quotient under H; ``labels[j]`` its momentum index;
+    energy alpha - t (v_j* A v_j), from its Rayleigh quotient under the
+    hopping operator A; ``labels[j]`` its momentum index;
     ``sym_eigs[j]`` the pair of unit-modulus translation eigenvalues
     (x-translation, y-translation).
     """
@@ -291,28 +295,31 @@ def momentum_labels(
     return list(map(MomentumIndex, r.tolist(), s.tolist()))
 
 
-def sector_eigh(family: CommutingFamily) -> EigenDecomposition:
-    """Eigendecomposition of the real H through its four reflection-parity sectors.
+def sector_eigh(n: int) -> EigenDecomposition:
+    """Eigendecomposition of the hopping operator A through its four reflection-parity sectors.
 
-    With E and O the ring's even and odd parity columns
-    (:func:`~tbbands.model.parity_factors`), H maps the span of each sector's
-    columns P = A (x) B, A and B each E or O, into itself. Each sector block
-    P^T H P is formed matrix-free: ``apply_h`` on P, folded with A^T and B^T
-    on the (n, n, m) site grid. The blocks are decomposed by three
+    A, the sum of the four unit neighbour shifts of the n x n lattice
+    (:func:`~tbbands.model.apply_hopping`), depends on n alone; its
+    eigenvectors are those of H = alpha I - t A for every alpha and t. With E
+    and O the ring's even and odd parity columns
+    (:func:`~tbbands.model.parity_factors`), A maps the span of each sector's
+    columns P = F (x) G, F and G each E or O, into itself. Each sector block
+    P^T A P is formed matrix-free: ``apply_hopping`` on P, folded with F^T and
+    G^T on the (n, n, m) site grid. The blocks are decomposed by three
     :func:`eig_hermitian` calls (ee; eo and oe, equal in size, as one stack;
     oo), each of about a quarter of the dimension. The values are merged by
     one stable sort and each sector's P V is written straight into its sorted
     columns. Returns ascending values and real orthonormal (dim, dim) vectors,
-    as a dense eigensolve of the whole H would, in a different basis inside
+    as a dense eigensolve of the whole A would, in a different basis inside
     each degenerate eigenspace.
     """
-    n, dim = family.n, family.dim
+    dim = n * n
     even, odd = parity_factors(n)
 
     def block(a, b):
         ma, mb = a.shape[1], b.shape[1]
         cols = (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, ma * mb)
-        applied = family.apply_h(cols).reshape(n, n * ma * mb)
+        applied = apply_hopping(cols, n).reshape(n, n * ma * mb)
         return (b.T @ (a.T @ applied).reshape(ma, n, ma * mb)).reshape(ma * mb, ma * mb)
 
     ee = eig_hermitian(block(even, even))
@@ -387,7 +394,7 @@ def _stage(translation: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BlockGroup:
-    """The H-blocks of one size k, in the real eigenvectors Q of H.
+    """The blocks of one size k, in the real eigenvectors Q of the hopping operator.
 
     ``cols`` (m, k) holds each block's columns; ``q`` (m, dim, k) their
     columns of Q; ``projected`` (2, m, k, k) the projections Q_b^T S Q_b of
@@ -417,7 +424,7 @@ def _block_groups(q: np.ndarray, blocks: list[range], n: int) -> list[_BlockGrou
 
 
 def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
-    """Multiply each H-block's coordinates by that block's (k, k) matrix.
+    """Multiply each block's coordinates by that block's (k, k) matrix.
 
     ``coords`` is (k_max, dim): block j's coordinates sit in the first k_j
     rows of its columns. ``parts`` pairs each group's ``cols`` with an
@@ -440,73 +447,66 @@ def _assemble(
     The columns of ``vectors`` come in label order, with their (x, y)
     translation eigenvalues in ``sym_eigs`` and their ``labels`` as computed
     by the caller; their phases are fixed in place, as :func:`fix_phase`
-    would fix them.
+    would fix them. Each energy is alpha - t (v* A v), from the pairwise
+    Rayleigh quotient of the hopping operator A, CHUNK columns at a time:
+    alpha and t enter once, here, and never through the rounding of H.
     """
     vectors *= _phase_factors(vectors)
+    alpha, t = family.spec.alpha, family.spec.t
     energies = np.empty(vectors.shape[1])
     for start in range(0, vectors.shape[1], CHUNK):
         chunk = vectors[:, start : start + CHUNK]
-        energies[start : start + CHUNK] = _rayleigh_quotients(chunk, family.apply_h(chunk)).real
+        hopping = _rayleigh_quotients(chunk, apply_hopping(chunk, family.n)).real
+        energies[start : start + CHUNK] = alpha - t * hopping
     return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
-def simultaneous_basis_refine(
-    family: CommutingFamily, gap_tol: float | None = None
-) -> SymBasis:
+def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     """Simultaneous eigenbasis by sequential subspace refinement.
 
-    Stages: (1) diagonalize the real H in its reflection-parity sectors
-    (:func:`sector_eigh`) and cluster its eigenvalues; (2) inside
-    every degenerate cluster diagonalize the projection of the phase-rotated
-    Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose
-    eigenvalue fixes the x-translation eigenvalue; (3) inside remaining
-    sub-clusters the same for S_y. After the eigensolve of H every stage
-    works in the blocks' own coordinates: S_x and S_y are projected once onto
-    each block of H's real eigenvectors Q, the stages are (k, k) Hermitian
+    H = alpha I - t A, so the basis is solved for the hopping operator A,
+    which depends on n alone; alpha and t enter only the energies
+    (:func:`_assemble`). The block partition, the tolerances and the rounding
+    of the vectors are the same for every (alpha, t) at one n, t = 0 included.
+
+    Stages: (1) diagonalize the real A in its reflection-parity sectors
+    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_GAP_TOL;
+    (2) inside every degenerate cluster diagonalize the projection of the
+    phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
+    phi = pi/(2n), whose eigenvalue fixes the x-translation eigenvalue;
+    (3) inside remaining sub-clusters the same for S_y. Both stages cluster
+    with STAGE_GAP_TOL. After the eigensolve of A every stage works in the
+    blocks' own coordinates: S_x and S_y are projected once onto each block of
+    A's real eigenvectors Q, the stages are (k, k) Hermitian
     eigendecompositions of those projections, one stacked call per block size,
     and the translation eigenvalues are quotients of the coordinates. The
     complex basis, Q times the coordinates, is formed once at the end.
 
-    Parameters
-    ----------
-    family : CommutingFamily
-    gap_tol : float, optional
-        Eigenvalue gap below which values count as degenerate. When omitted,
-        each stage uses 1e-9 * ||M||_F / sqrt(dim) of its stage operator M
-        (``STAGE_GAP_TOL`` for the rotated translation parts).
-
     Raises
     ------
     RefinementError
-        A block stayed degenerate through all stages, which signals either a
-        too-coarse gap_tol or an extra symmetry this procedure does not know.
+        A block stayed degenerate through all stages, which signals an extra
+        symmetry this procedure does not know.
     """
-    if gap_tol is not None and gap_tol <= 0:
-        raise ValueError(f"gap_tol must be > 0 (got {gap_tol})")
     n, dim = family.n, family.dim
-    base = sector_eigh(family)
-    tol_h = (
-        gap_tol if gap_tol is not None else gap_tol_for_norm(hamiltonian_norm(family.spec), dim)
-    )
-    blocks = cluster_eigenvalues(base.values, tol_h).clusters
+    base = sector_eigh(n)
+    blocks = cluster_eigenvalues(base.values, HOPPING_GAP_TOL).clusters
     groups = _block_groups(base.vectors, blocks, n)
     # Block j's coordinates in its own columns of Q start as the identity.
     sizes = [len(b) for b in blocks]
     coords = np.zeros((max(sizes), dim), dtype=complex)
     coords[np.arange(dim) - np.repeat([b.start for b in blocks], sizes), np.arange(dim)] = 1.0
-    tol = gap_tol if gap_tol is not None else STAGE_GAP_TOL
     stages = [(g.cols, _stage(g.projected, n)) for g in groups if g.cols.shape[1] > 1]
     for axis in (0, 1):
         parts = [(cols, stage[axis]) for cols, stage in stages]
         blocks = _refine_within_blocks(
-            coords, blocks, functools.partial(_apply_within_blocks, parts=parts), tol
+            coords, blocks, functools.partial(_apply_within_blocks, parts=parts), STAGE_GAP_TOL
         )
     stuck = [(b.start, b.stop) for b in blocks if len(b) > 1]
     if stuck:
         raise RefinementError(
             f"degeneracy unresolved after all refinement stages in column "
-            f"blocks {stuck}; gap_tol may be too coarse or the family has an "
-            "unexpected extra symmetry"
+            f"blocks {stuck}; the family has an unexpected extra symmetry"
         )
     applied = _apply_within_blocks(coords, [(g.cols, g.projected) for g in groups])
     sym_eigs = _rayleigh_quotients(coords, applied).T
@@ -537,7 +537,7 @@ def simultaneous_basis_refine(
     return _assemble(vectors, sym_eigs[order], labels, family)
 
 
-def _normal_eigenbasis(k: np.ndarray, gap_tol: float | None) -> np.ndarray:
+def _normal_eigenbasis(k: np.ndarray) -> np.ndarray:
     """Orthonormal eigenbasis of a normal matrix.
 
     Diagonalizes the Hermitian part, then refines degenerate clusters with the
@@ -550,10 +550,8 @@ def _normal_eigenbasis(k: np.ndarray, gap_tol: float | None) -> np.ndarray:
     anti = (k - k.conj().T) * -0.5j
     base = eig_hermitian(herm)
     vectors = np.array(base.vectors, dtype=complex)
-    tol = gap_tol if gap_tol is not None else default_gap_tol(herm)
-    blocks = cluster_eigenvalues(base.values, tol).clusters
-    tol = gap_tol if gap_tol is not None else default_gap_tol(anti)
-    _refine_within_blocks(vectors, blocks, lambda v: anti @ v, tol)
+    blocks = cluster_eigenvalues(base.values, default_gap_tol(herm)).clusters
+    _refine_within_blocks(vectors, blocks, lambda v: anti @ v, default_gap_tol(anti))
     return vectors
 
 
@@ -563,18 +561,16 @@ def default_filter_tol(family: CommutingFamily) -> float:
 
 
 def filter_simultaneous(
-    candidates,
-    family: CommutingFamily,
-    filter_tol: float | None = None,
+    candidates, family: CommutingFamily
 ) -> list[tuple[np.ndarray, float, complex, complex]]:
     """Keep the unit-norm candidates that are simultaneous eigenvectors.
 
-    A candidate v is accepted iff ``||M v - (v* M v) v||_2 <= filter_tol`` for
-    every M among H, S_x, S_y. Returns ``(vector, h_eig, sx_eig, sy_eig)``
-    with the Rayleigh quotients as eigenvalues; an empty list is valid output.
+    A candidate v is accepted iff ``||M v - (v* M v) v||_2`` is at most
+    :func:`default_filter_tol` for every M among H, S_x, S_y. Returns
+    ``(vector, h_eig, sx_eig, sy_eig)`` with the Rayleigh quotients as
+    eigenvalues; an empty list is valid output.
     """
-    if filter_tol is None:
-        filter_tol = default_filter_tol(family)
+    filter_tol = default_filter_tol(family)
     accepted = []
     for v in candidates:
         v = np.asarray(v)
@@ -590,11 +586,7 @@ def filter_simultaneous(
     return accepted
 
 
-def simultaneous_basis_combination(
-    family: CommutingFamily,
-    gap_tol: float | None = None,
-    filter_tol: float | None = None,
-) -> SymBasis:
+def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
     """Simultaneous eigenbasis through the combination matrices.
 
     Candidate vectors are the eigenbases of H(S_x - S_y) and S_x(H - S_y);
@@ -602,6 +594,10 @@ def simultaneous_basis_combination(
     the corresponding eigenvector is automatically a simultaneous eigenvector
     of the whole family. Candidates are screened with
     :func:`filter_simultaneous` and one survivor is kept per momentum label.
+    Both matrices are built from H itself: built from the hopping operator A
+    they would be those of alpha = 0, where their spectra degenerate, and the
+    method would fail at every (alpha, t). Only the energies come from A, as
+    in the refine method.
 
     Raises
     ------
@@ -611,10 +607,8 @@ def simultaneous_basis_combination(
         refinement method remains the reliable path.
     """
     k1, k2 = combination_matrices(family)
-    candidates = np.hstack(
-        [_normal_eigenbasis(k1, gap_tol), _normal_eigenbasis(k2, gap_tol)]
-    )
-    accepted = filter_simultaneous(candidates.T, family, filter_tol)
+    candidates = np.hstack([_normal_eigenbasis(k1), _normal_eigenbasis(k2)])
+    accepted = filter_simultaneous(candidates.T, family)
     sym_eigs = np.array(
         [(sx_eig, sy_eig) for _v, _h, sx_eig, sy_eig in accepted], dtype=complex
     ).reshape(-1, 2)

@@ -5,6 +5,8 @@ j = p*n + q (p the block (y) index, q the in-block (x) index), never from the
 package's operators, so comparing those operators with it is not circular.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -35,3 +37,8 @@ def dense_operators(spec):
 def dense_h(spec):
     """The real dense H of ``spec``."""
     return dense_operators(spec)[0]
+
+
+def dense_hopping(n):
+    """The dense hopping operator A of the n x n lattice: H at alpha = 0, t = -1."""
+    return dense_h(SimpleNamespace(n=n, alpha=0.0, t=-1.0))

@@ -230,6 +230,17 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--n", "3", "--t", "0"]) == 0
         assert "max_residual_h=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "n,alpha,t", [(8, 1.0, 1e-6), (13, -2.5, 1e-3), (8, 1000.0, 0.2), (10, -1000.0, 1e-4)]
+    )
+    def test_small_t_and_large_alpha_pass(self, n, alpha, t, capsys):
+        # a tiny t or a large alpha/t ratio once mixed the degenerate columns
+        # (the eigensolver's error scales with ||H||, the gaps with t); the
+        # basis now comes from the parameter-free hopping operator
+        argv = ["verify", "--n", str(n), "--alpha", repr(alpha), "--t", repr(t)]
+        assert cli.main(argv) == 0
+        assert "threshold breached" not in capsys.readouterr().err
+
     def test_small_n_residual(self, capsys):
         assert cli.main(["verify", "--n", "8", "--alpha", "1.0", "--t", "0.2"]) == 0
         out = capsys.readouterr().out
@@ -322,10 +333,14 @@ class TestUsage:
             cli.main(["fourier", "--n", "4"])
         assert exc.value.code == 2
 
-    def test_nonpositive_gap_tol(self):
+    @pytest.mark.parametrize("command", ["bands", "verify"])
+    def test_lists_no_tolerance_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["bands", "--n", "4", "--gap-tol", "0"])
-        assert exc.value.code == 2
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--method" in out
+        assert "--gap-tol" not in out and "--filter-tol" not in out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

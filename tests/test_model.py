@@ -15,13 +15,14 @@ from tbbands.model import (
     Y_AXIS,
     CommutingFamily,
     LatticeSpec,
+    apply_hopping,
     build_family,
     hamiltonian_norm,
     parity_factors,
     translate,
 )
 
-from dense_reference import dense_h, dense_operators
+from dense_reference import dense_h, dense_hopping, dense_operators
 
 
 def charpoly_roots(matrix):
@@ -326,7 +327,12 @@ class TestMatrixFreeOperators:
         family = build_family(spec)
         h, sx, sy = dense_operators(spec)
         v = dyadic_block(np.random.default_rng(n), n * n, 6)
-        for apply, dense in ((family.apply_h, h), (family.apply_sx, sx), (family.apply_sy, sy)):
+        for apply, dense in (
+            (family.apply_h, h),
+            (family.apply_sx, sx),
+            (family.apply_sy, sy),
+            (lambda v: apply_hopping(v, n), dense_hopping(n)),
+        ):
             assert np.array_equal(apply(v), dense @ v)
             assert np.array_equal(apply(v[:, 0]), dense @ v[:, 0])
             assert np.array_equal(apply(np.eye(n * n)), dense)

@@ -17,9 +17,17 @@ from tbbands.analytic import (
 from tbbands.cli import VERIFY_THRESHOLDS
 from tbbands import simdiag
 from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
-from tbbands.model import X_AXIS, CommutingFamily, LatticeSpec, build_family, translate
+from tbbands.model import (
+    X_AXIS,
+    CommutingFamily,
+    LatticeSpec,
+    apply_hopping,
+    build_family,
+    translate,
+)
 from tbbands.simdiag import (
     FILTER_RTOL,
+    HOPPING_GAP_TOL,
     STAGE_GAP_TOL,
     CandidateDeficitError,
     MomentumLabelError,
@@ -35,7 +43,7 @@ from tbbands.simdiag import (
     verify_basis,
 )
 
-from dense_reference import dense_h, dense_operators
+from dense_reference import dense_h, dense_hopping, dense_operators
 
 
 def all_indices(n):
@@ -278,26 +286,29 @@ class TestSectorEigh:
         + [(n, 1e3, 0.7) for n in (4, 7, 12)],
     )
     def test_matches_dense_eigh(self, n, alpha, t):
-        spec = LatticeSpec(n, alpha, t)
-        family = build_family(spec)
-        h = dense_h(spec)
-        got = simdiag.sector_eigh(family)
-        want = eig_hermitian(h)
-        scale = np.linalg.norm(h)
+        # sector_eigh decomposes the hopping operator A, which is H at
+        # alpha = 0, t = -1; its vectors diagonalize the H of every (alpha, t)
+        # with the eigenvalues alpha - t lambda
+        a = dense_hopping(n)
+        got = simdiag.sector_eigh(n)
+        want = eig_hermitian(a)
+        scale = np.linalg.norm(a)
         assert got.vectors.shape == (n * n, n * n) and got.vectors.dtype == np.float64
         assert np.abs(got.values - want.values).max() <= 1e-13 * scale
-        tol = default_gap_tol(h)
+        tol = default_gap_tol(a)
         assert (
             cluster_eigenvalues(got.values, tol).clusters
             == cluster_eigenvalues(want.values, tol).clusters
         )
         v = got.vectors
         assert np.abs(v.T @ v - np.eye(n * n)).max() <= 1e-13
-        assert np.abs(family.apply_h(v) - v * got.values).max() <= 1e-13 * scale
+        assert np.abs(a @ v - v * got.values).max() <= 1e-13 * scale
+        h = dense_h(LatticeSpec(n, alpha, t))
+        energies = alpha - t * got.values
+        assert np.abs(h @ v - v * energies).max() <= 1e-13 * np.linalg.norm(h)
 
     def test_deterministic(self):
-        family = build_family(LatticeSpec(11, 0.4, -0.9))
-        first, second = simdiag.sector_eigh(family), simdiag.sector_eigh(family)
+        first, second = simdiag.sector_eigh(11), simdiag.sector_eigh(11)
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
 
@@ -355,6 +366,14 @@ class TestRefine:
             projected = simdiag._stage(q.T @ s.real @ q, n)
             assert np.abs(projected - q.T @ dense @ q).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 16])
+    def test_hopping_gap_tol_is_dense_default(self, n):
+        # default_gap_tol of the dense hopping operator A, to its last-ulp
+        # rounding: ||A||_F = 2n for every n >= 3
+        a = dense_hopping(n)
+        assert np.linalg.norm(a) == 2 * n
+        assert math.isclose(default_gap_tol(a), HOPPING_GAP_TOL, rel_tol=1e-15)
+
     @pytest.mark.parametrize("n", range(3, 91))
     def test_rotated_stage_separates_every_momentum(self, n):
         # Each translation acts along its axis as the n-site cyclic shift; the
@@ -372,22 +391,38 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", [3, 4, 8, 13])
     def test_t_zero_stages_leave_singletons(self, n, monkeypatch):
-        # at t = 0 H has one block of size n^2; the two stages must split it
-        # into singletons
-        family = build_family(LatticeSpec(n, 1.3, 0.0))
-        partitions = []
+        # at t = 0 H = alpha I is one block of size n^2, but refine clusters
+        # the hopping operator, so it refines the same partitions as at t = 1
+        # and the two stages end in singletons
         engine = simdiag._refine_within_blocks
+        partitions = []
 
         def recorded(vectors, blocks, apply_operator, gap_tol):
-            partitions.append(list(blocks))
             refined = engine(vectors, blocks, apply_operator, gap_tol)
-            partitions.append(refined)
+            partitions.append((list(blocks), refined))
             return refined
 
         monkeypatch.setattr(simdiag, "_refine_within_blocks", recorded)
-        simultaneous_basis_refine(family)
-        assert partitions[0] == [range(0, n * n)]
-        assert partitions[-1] == [range(j, j + 1) for j in range(n * n)]
+        simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, 0.0)))
+        at_zero = partitions.copy()
+        partitions.clear()
+        simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, 1.0)))
+        assert at_zero == partitions
+        assert at_zero[-1][1] == [range(j, j + 1) for j in range(n * n)]
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_basis_depends_on_n_alone(self, n):
+        # alpha and t enter only the energies: the vectors, labels and
+        # translation eigenvalues are the same bits for every (alpha, t)
+        want = simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, -0.7)))
+        for alpha, t in ((0.0, 0.0), (1e3, 1e-6), (-2.5, 1e-3)):
+            spec = LatticeSpec(n, alpha, t)
+            got = simultaneous_basis_refine(build_family(spec))
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.sym_eigs, want.sym_eigs)
+            assert got.labels == want.labels
+            exact = [analytic_eigenvalue(spec, label) for label in got.labels]
+            assert np.abs(got.energies - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("n,alpha,t", [(8, 1.0, 0.2), (12, -0.7, 1.1), (16, 0.0, 0.3)])
     def test_one_block_eigh_per_size_and_stage(self, n, alpha, t, monkeypatch):
@@ -400,8 +435,8 @@ class TestRefine:
 
         monkeypatch.setattr(simdiag, "eig_hermitian", counted)
         simultaneous_basis_refine(family)
-        # H in its parity sectors: ee, the eo/oe stack, oo; N columns in all,
-        # none larger than the even-even sector
+        # the hopping operator in its parity sectors: ee, the eo/oe stack, oo;
+        # N columns in all, none larger than the even-even sector
         sectors, stages = shapes[:3], shapes[3:]
         assert len(sectors[1]) == 3 and sectors[1][0] == 2
         assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n
@@ -410,9 +445,9 @@ class TestRefine:
         assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
         assert all(sizes.count(k) <= 2 for k in sizes)
-        h = dense_h(family.spec)
-        h_blocks = cluster_eigenvalues(eig_hermitian(h).values, default_gap_tol(h))
-        assert len(stages) <= 2 * len({len(b) for b in h_blocks.clusters if len(b) > 1})
+        a = dense_hopping(n)
+        a_blocks = cluster_eigenvalues(eig_hermitian(a).values, default_gap_tol(a))
+        assert len(stages) <= 2 * len({len(b) for b in a_blocks.clusters if len(b) > 1})
 
     @pytest.mark.parametrize(
         "n,alpha,t",
@@ -468,13 +503,15 @@ class TestRefine:
         assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
 
     def test_chunked_energies_equal_whole_basis_quotients(self):
-        # the energies are formed CHUNK columns at a time; each column's
-        # pairwise sum is the same as over the whole basis, bit for bit
-        family = build_family(LatticeSpec(30, 1.3, -0.7))
-        basis = simultaneous_basis_refine(family)
+        # the energies alpha - t (v* A v) are formed CHUNK columns at a time;
+        # each column's pairwise sum is the same as over the whole basis, bit
+        # for bit
+        spec = LatticeSpec(30, 1.3, -0.7)
+        basis = simultaneous_basis_refine(build_family(spec))
         v = basis.vectors
         assert basis.dim > simdiag.CHUNK
-        want = simdiag._rayleigh_quotients(v, family.apply_h(v)).real
+        hopping = simdiag._rayleigh_quotients(v, apply_hopping(v, spec.n)).real
+        want = spec.alpha - spec.t * hopping
         assert np.array_equal(basis.energies, want)
 
     def test_label_collision_fails_loudly(self, monkeypatch):
@@ -490,15 +527,37 @@ class TestRefine:
         with pytest.raises(MomentumLabelError, match="1 collisions"):
             simultaneous_basis_refine(family)
 
-    def test_unresolvable_gap_tol_fails_loudly(self):
+    def test_unresolvable_gap_tol_fails_loudly(self, monkeypatch):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
+        monkeypatch.setattr(simdiag, "STAGE_GAP_TOL", 1e6)
         with pytest.raises(RefinementError, match="blocks"):
-            simultaneous_basis_refine(family, gap_tol=1e6)
+            simultaneous_basis_refine(family)
 
-    def test_rejects_nonpositive_gap_tol(self):
-        family = build_family(LatticeSpec(3, 1.0, 0.2))
-        with pytest.raises(ValueError):
-            simultaneous_basis_refine(family, gap_tol=0.0)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 16),
+        t=st.one_of(
+            st.just(0.0),
+            st.builds(
+                lambda exponent, sign: sign * 10.0**exponent,
+                st.floats(-14.0, 1.0),
+                st.sampled_from([-1.0, 1.0]),
+            ),
+        ),
+        alpha=st.builds(
+            lambda scale, fraction: scale * fraction,
+            st.sampled_from([0.0, 1.0, -1.0, 100.0, -100.0]),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+    )
+    def test_meets_verify_thresholds_across_parameters(self, n, t, alpha):
+        # log-uniform |t| from 1e-14 to 10, t = 0, and |alpha| up to 100: the
+        # basis depends on n alone, so neither a tiny t nor a large alpha/t
+        # ratio may cost it the verify bounds
+        spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        report = verify_basis(simultaneous_basis_refine(family), family, spec).as_dict()
+        assert {k: v for k, v in report.items() if v > VERIFY_THRESHOLDS[k]} == {}
 
 
 class TestCombinationMethod:
