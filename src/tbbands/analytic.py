@@ -57,20 +57,48 @@ def analytic_eigenvalue(spec: LatticeSpec, idx: MomentumIndex) -> float:
     return spec.alpha - 2.0 * spec.t * (cr + cs)
 
 
-def analytic_eigenvector(spec: LatticeSpec, idx: MomentumIndex) -> np.ndarray:
-    """Unit eigenvector with entry exp(2*pi*i*(r*p + s*q)/n) / n at position p*n + q.
+def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
+    """The (dim, k) block of unit eigenvectors at k labels, one column per (r, s).
 
-    Each root of unity is evaluated as exp of the full angle per entry rather
-    than by repeated multiplication, so no O(n) rounding accumulates in the
-    high powers. The first entry is exactly 1/n, real and positive.
+    Column j has entry exp(2*pi*i*(r_j*p + s_j*q)/n) / n at position p*n + q.
+    ``labels`` is a sequence of index pairs or a (k, 2) integer array. Each
+    root of unity is evaluated as exp of the full angle per entry rather than
+    by repeated multiplication, so no O(n) rounding accumulates in the high
+    powers; the first entry of every column is exactly 1/n, real and positive.
     """
+    idx = np.asarray(labels, dtype=int).reshape(-1, 2)
+    bad = np.flatnonzero(((idx < 0) | (idx >= spec.n)).any(axis=1))
+    if bad.size:
+        _check_index(spec, tuple(idx[bad[0]].tolist()))
+    ring = _ring_modes(spec.n, np.arange(spec.n)[:, None])
+    return _plane_waves(ring[idx[:, 0]], ring[idx[:, 1]]).reshape(-1, spec.dim).T
+
+
+def analytic_eigenvector(spec: LatticeSpec, idx: MomentumIndex) -> np.ndarray:
+    """The unit eigenvector at index (r, s): :func:`analytic_eigenvectors` of one label."""
     _check_index(spec, idx)
-    n = spec.n
     r, s = idx
-    steps = np.arange(n)
-    block_phase = np.exp(2j * math.pi * r * steps / n)
-    site_phase = np.exp(2j * math.pi * s * steps / n)
-    return np.outer(block_phase, site_phase).ravel() / n
+    return _plane_waves(_ring_modes(spec.n, r), _ring_modes(spec.n, s)).ravel()
+
+
+def _ring_modes(n: int, k) -> np.ndarray:
+    """exp(2*pi*i*k*j/n) for j in [0, n): (n,) for an integer k, (m, n) for an (m, 1) array."""
+    return np.exp(2j * math.pi * k * np.arange(n) / n)
+
+
+def _plane_waves(block_phase: np.ndarray, site_phase: np.ndarray) -> np.ndarray:
+    """The plane waves on the (n, n) site grid of (..., n) ring modes in p and in q.
+
+    The one formula behind both oracle functions, so a column is bit-identical
+    whether it is formed alone or in a block. The product is scaled by 1/n in
+    place, on its real and imaginary parts: numpy divides a complex by n as a
+    product with 1/n, so this gives the bits of ``/ n`` for every entry
+    without a -0.0 part, which no plane wave has.
+    """
+    waves = block_phase[..., :, None] * site_phase[..., None, :]
+    parts = waves.view(float)
+    parts *= 1.0 / block_phase.shape[-1]
+    return waves
 
 
 def analytic_eigenpair(spec: LatticeSpec, idx: MomentumIndex) -> AnalyticEigenpair:

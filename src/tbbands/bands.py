@@ -92,7 +92,9 @@ def compute_dispersion(
 ) -> tuple[BandData, VerificationReport]:
     """Numerical dispersion relation plus the verification report of its basis.
 
-    Energies are the Rayleigh quotients of the computed basis, not closed-form
+    Energies are alpha - t lambda, with lambda each column's hopping eigenvalue
+    as the solver computed it (from the refine method's block coordinates, or
+    the combination method's Rayleigh quotients), not closed-form
     substitutions, so comparing them against the analytic values measures real
     solver error.
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import MomentumIndex, analytic_eigenvector
+from .analytic import analytic_eigenvectors
 from .bands import (
     METHODS,
     analytic_dispersion,
@@ -91,8 +91,9 @@ def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
 
     The entries repeat: a momentum eigenvector is a phase times the plane wave
     e^{2 pi i (r p + s q)/n} / n, so a column holds only O(n) distinct values,
-    and the solver keeps many of them bit-identical (the parity-sector lift
-    writes entries as exact +-sqrt(1/2) copies). Each distinct bit pattern is
+    and the solver keeps many of them bit-identical (the lift of the C4v
+    blocks writes entries as exact +-sqrt(1/2) copies, and oe's vectors are
+    eo's with the site grid transposed). Each distinct bit pattern is
     therefore rendered once with ``%.17g``, the text of :func:`_fmt` (bits,
     not values, so -0.0 stays "-0"), and the file is written _CHUNK_LINES
     lines at a time from that table.
@@ -150,13 +151,7 @@ def cmd_analytic(config: RunConfig) -> int:
     band = analytic_dispersion(spec)
     _write_band_csv(config.output_path, band)
     if config.vectors_path is not None:
-        vectors = np.stack(
-            [
-                analytic_eigenvector(spec, MomentumIndex(int(r), int(s)))
-                for r, s in zip(band.r, band.s)
-            ],
-            axis=1,
-        )
+        vectors = analytic_eigenvectors(spec, np.stack([band.r, band.s], axis=1))
         _write_vectors_csv(config.vectors_path, vectors)
     return EXIT_OK
 

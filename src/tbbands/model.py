@@ -7,12 +7,14 @@ the hopping operator A (:func:`apply_hopping`) sums the four unit neighbour
 shifts: :class:`CommutingFamily` holds only the spec and applies all three
 exactly, without matrices, as shifts on the grid. A depends on n alone, so
 its eigenvectors are H's for every (alpha, t), and the parameters only set
-the energies. The lattice has two more exact symmetries, the site reflections
-q -> -q and p -> -p; :func:`parity_factors` gives the ring's reflection-even
-and reflection-odd columns, whose Kronecker products split the sites into
-four parity sectors that A maps into themselves, so the one dense eigensolve
-runs as four eigensolves of about a quarter of the dimension. The norm of H
-has the closed form :func:`hamiltonian_norm`.
+the energies. The lattice's point group C4v commutes with A too: the site
+reflections q -> -q and p -> -p, and the diagonal swap (p, q) -> (q, p).
+:func:`parity_factors` gives the ring's reflection-even and reflection-odd
+columns, whose Kronecker products split the sites into four parity sectors
+that A maps into themselves; the swap maps sector eo onto oe and splits ee
+and oo in halves, so the one dense eigensolve runs as five C4v blocks of
+about a quarter or an eighth of the dimension (``simdiag.sector_eigh``). The
+norm of H has the closed form :func:`hamiltonian_norm`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from tbbands.analytic import (
     analytic_eigenpair,
     analytic_eigenvalue,
     analytic_eigenvector,
+    analytic_eigenvectors,
     degeneracy_census,
     dispersion_point,
 )
@@ -134,6 +135,30 @@ class TestEigenvector:
         for idx in all_indices(n):
             pair = analytic_eigenpair(spec, idx)
             assert np.linalg.norm(h @ pair.vector - pair.energy * pair.vector) <= bound
+
+
+class TestEigenvectors:
+    @pytest.mark.parametrize("n", range(3, 32))
+    def test_bulk_columns_are_the_single_vectors_bit_for_bit(self, n):
+        # one plane-wave formula: every column of the block, in any label
+        # order, has the bits of analytic_eigenvector, signed zeros included
+        spec = LatticeSpec(n, 1.0, 0.2)
+        labels = all_indices(n)[::-1]
+        bulk = analytic_eigenvectors(spec, labels)
+        assert bulk.shape == (n * n, n * n) and bulk.dtype == np.complex128
+        single = np.stack([analytic_eigenvector(spec, idx) for idx in labels])
+        assert np.array_equal(bulk.T.view(np.uint64), single.view(np.uint64))
+
+    def test_takes_an_integer_array_of_labels(self):
+        spec = LatticeSpec(6, 1.0, 0.2)
+        labels = [MomentumIndex(5, 0), MomentumIndex(2, 3)]
+        want = analytic_eigenvectors(spec, labels)
+        assert np.array_equal(analytic_eigenvectors(spec, np.array(labels)), want)
+
+    @pytest.mark.parametrize("bad", [(4, 0), (0, -1)])
+    def test_rejects_out_of_range_label(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            analytic_eigenvectors(LatticeSpec(4, 1.0, 0.2), [(1, 1), bad])
 
 
 class TestDispersionPoint:

@@ -23,6 +23,7 @@ from tbbands.model import (
     LatticeSpec,
     apply_hopping,
     build_family,
+    parity_factors,
     translate,
 )
 from tbbands.simdiag import (
@@ -307,6 +308,45 @@ class TestSectorEigh:
         energies = alpha - t * got.values
         assert np.abs(h @ v - v * energies).max() <= 1e-13 * np.linalg.norm(h)
 
+    @staticmethod
+    def swap_images(n, got):
+        """Each column's reflection parities on the p and q axes (True: odd),
+        and the columns under the swap (p, q) -> (q, p)."""
+        dim = n * n
+        grid = got.vectors.reshape(n, n, dim)
+        flip = (-np.arange(n)) % n
+        odd = []
+        for axis in (0, 1):
+            reflected = np.take(grid, flip, axis=axis)
+            is_even = np.all(reflected == grid, axis=(0, 1))
+            is_odd = np.all(reflected == -grid, axis=(0, 1))
+            assert np.all(is_even ^ is_odd)
+            odd.append(is_odd)
+        return odd[0], odd[1], grid.transpose(1, 0, 2).reshape(dim, dim)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
+    def test_diagonal_sectors_split_into_swap_even_and_odd(self, n):
+        got = simdiag.sector_eigh(n)
+        odd_p, odd_q, swapped = self.swap_images(n, got)
+        diagonal = odd_p == odd_q
+        plus = np.all(swapped == got.vectors, axis=0)
+        minus = np.all(swapped == -got.vectors, axis=0)
+        assert np.all((plus ^ minus)[diagonal])
+        me, mo = (m.shape[1] for m in parity_factors(n))
+        assert np.count_nonzero(plus & diagonal) == me * (me + 1) // 2 + mo * (mo + 1) // 2
+        assert np.count_nonzero(minus & diagonal) == me * (me - 1) // 2 + mo * (mo - 1) // 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
+    def test_oe_is_eo_under_the_swap_bit_for_bit(self, n):
+        got = simdiag.sector_eigh(n)
+        odd_p, odd_q, swapped = self.swap_images(n, got)
+        eo = np.flatnonzero(~odd_p & odd_q)
+        oe = np.flatnonzero(odd_p & ~odd_q)
+        columns = {got.vectors[:, j].tobytes(): j for j in oe}
+        partner = [columns[swapped[:, j].tobytes()] for j in eo]
+        assert sorted(partner) == oe.tolist()
+        assert np.array_equal(got.values[partner].view(np.uint64), got.values[eo].view(np.uint64))
+
     def test_deterministic(self):
         first, second = simdiag.sector_eigh(11), simdiag.sector_eigh(11)
         assert np.array_equal(first.values, second.values)
@@ -424,7 +464,9 @@ class TestRefine:
             exact = [analytic_eigenvalue(spec, label) for label in got.labels]
             assert np.abs(got.energies - exact).max() <= 1e-13
 
-    @pytest.mark.parametrize("n,alpha,t", [(8, 1.0, 0.2), (12, -0.7, 1.1), (16, 0.0, 0.3)])
+    @pytest.mark.parametrize(
+        "n,alpha,t", [(8, 1.0, 0.2), (9, 2.1, -0.4), (12, -0.7, 1.1), (16, 0.0, 0.3)]
+    )
     def test_one_block_eigh_per_size_and_stage(self, n, alpha, t, monkeypatch):
         family = build_family(LatticeSpec(n, alpha, t))
         shapes = []
@@ -435,12 +477,16 @@ class TestRefine:
 
         monkeypatch.setattr(simdiag, "eig_hermitian", counted)
         simultaneous_basis_refine(family)
-        # the hopping operator in its parity sectors: ee, the eo/oe stack, oo;
-        # N columns in all, none larger than the even-even sector
-        sectors, stages = shapes[:3], shapes[3:]
-        assert len(sectors[1]) == 3 and sectors[1][0] == 2
-        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n
-        assert max(shape[-1] for shape in sectors) <= (n // 2 + 1) ** 2
+        # the hopping operator in its five C4v blocks eo, ee+, ee-, oo+, oo-
+        # (oe is eo under the swap and is not solved), one stacked call per
+        # distinct block size, ascending: N - |eo| columns in all
+        me, mo = n // 2 + 1, (n - 1) // 2
+        blocks = [me * mo, me * (me + 1) // 2, me * (me - 1) // 2, mo * (mo + 1) // 2]
+        blocks = [k for k in blocks + [mo * (mo - 1) // 2] if k]
+        distinct = sorted(set(blocks))
+        sectors, stages = shapes[: len(distinct)], shapes[len(distinct) :]
+        assert sectors == [(blocks.count(k), k, k) for k in distinct]
+        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n - me * mo
         sizes = [shape[-1] for shape in stages]
         assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
@@ -503,16 +549,23 @@ class TestRefine:
         assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
 
     def test_chunked_energies_equal_whole_basis_quotients(self):
-        # the energies alpha - t (v* A v) are formed CHUNK columns at a time;
-        # each column's pairwise sum is the same as over the whole basis, bit
-        # for bit
-        spec = LatticeSpec(30, 1.3, -0.7)
-        basis = simultaneous_basis_refine(build_family(spec))
-        v = basis.vectors
-        assert basis.dim > simdiag.CHUNK
-        hopping = simdiag._rayleigh_quotients(v, apply_hopping(v, spec.n)).real
-        want = spec.alpha - spec.t * hopping
-        assert np.array_equal(basis.energies, want)
+        # refine's energies come from the block coordinates,
+        # alpha - t sum_i |c_ij|^2 lambda_i; against alpha - t (v* A v) over the
+        # whole returned basis they may differ by the sector eigensolve's
+        # rounding of the hopping values (|lambda| <= 4), bounded here by
+        # 64 eps, times |t|, plus one rounding of the energy
+        for n, alpha, t in [(12, -2.0, 0.3), (17, 0.0, 1.0), (30, 1.3, -0.7)]:
+            basis = simultaneous_basis_refine(build_family(LatticeSpec(n, alpha, t)))
+            v = basis.vectors
+            whole = simdiag._rayleigh_quotients(v, apply_hopping(v, n)).real
+            want = alpha - t * whole
+            bound = 64 * np.finfo(float).eps * abs(t) + np.spacing(np.abs(want))
+            assert np.all(np.abs(basis.energies - want) <= bound)
+        # the combination method's quotients are formed CHUNK columns at a
+        # time; each column's pairwise sum is the same as over the whole
+        # basis, bit for bit (here at n = 30)
+        assert v.shape[1] > simdiag.CHUNK
+        assert np.array_equal(simdiag._hopping_quotients(v, n), whole)
 
     def test_label_collision_fails_loudly(self, monkeypatch):
         family = build_family(LatticeSpec(4, 1.0, 0.2))
@@ -652,6 +705,34 @@ class TestVerifyBasis:
             (report.max_residual_sy, family.apply_sy, basis.sym_eigs[:, 1]),
         ):
             assert got == simdiag._max_residual(apply(v), v, eigs)
+
+    @pytest.mark.parametrize("n", [4, 19, 20, 30])
+    def test_oracle_vectors_per_column_only_below_the_transform(self, n, monkeypatch):
+        calls = []
+        single = simdiag.analytic_eigenvector
+
+        def counted(spec, idx):
+            calls.append(idx)
+            return single(spec, idx)
+
+        monkeypatch.setattr(simdiag, "analytic_eigenvector", counted)
+        spec = LatticeSpec(n, 1.3, -0.7)
+        family = build_family(spec)
+        verify_basis(simultaneous_basis_refine(family), family, spec)
+        assert len(calls) == (n * n if n * n < simdiag.FOURIER_MIN_DIM else 0)
+
+    @pytest.mark.parametrize("n", [20, 23])
+    def test_bulk_oracle_vectors_give_the_per_column_report(self, n, monkeypatch):
+        spec = LatticeSpec(n, -0.4, 0.9)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        want = verify_basis(basis, family, spec)
+        monkeypatch.setattr(
+            simdiag,
+            "analytic_eigenvectors",
+            lambda spec, labels: np.stack([analytic_eigenvector(spec, x) for x in labels], axis=1),
+        )
+        assert verify_basis(basis, family, spec) == want
 
     def test_computed_basis_unit_circle_sym_eigs(self):
         family = build_family(LatticeSpec(5, 1.0, 0.2))
