@@ -57,6 +57,18 @@ def analytic_eigenvalue(spec: LatticeSpec, idx: MomentumIndex) -> float:
     return spec.alpha - 2.0 * spec.t * (cr + cs)
 
 
+def analytic_energies(spec: LatticeSpec) -> np.ndarray:
+    """The (n, n) grid of energies, entry [r, s] bit-identical to :func:`analytic_eigenvalue`.
+
+    The n cosines are the same ``math.cos`` calls on the same angles, and each
+    entry is formed by the same float operations in the same order, so the
+    grid is symmetric bit for bit.
+    """
+    n = spec.n
+    cosines = np.array([math.cos(2.0 * math.pi * k / n) for k in range(n)])
+    return spec.alpha - 2.0 * spec.t * (cosines[:, None] + cosines)
+
+
 def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
     """The (dim, k) block of unit eigenvectors at k labels, one column per (r, s).
 
@@ -66,12 +78,23 @@ def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
     by repeated multiplication, so no O(n) rounding accumulates in the high
     powers; the first entry of every column is exactly 1/n, real and positive.
     """
+    r, s = np.divmod(label_codes(spec, labels), spec.n)
+    ring = _ring_modes(spec.n, np.arange(spec.n)[:, None])
+    return _plane_waves(ring[r], ring[s]).reshape(-1, spec.dim).T
+
+
+def label_codes(spec: LatticeSpec, labels) -> np.ndarray:
+    """Flat indices r*n + s of a sequence of index pairs or a (k, 2) integer array.
+
+    They index the raveled :func:`analytic_energies` grid and the rows of the
+    2-D DFT of a basis on the site grid. Raises ValueError naming the first
+    label out of range.
+    """
     idx = np.asarray(labels, dtype=int).reshape(-1, 2)
     bad = np.flatnonzero(((idx < 0) | (idx >= spec.n)).any(axis=1))
     if bad.size:
         _check_index(spec, tuple(idx[bad[0]].tolist()))
-    ring = _ring_modes(spec.n, np.arange(spec.n)[:, None])
-    return _plane_waves(ring[idx[:, 0]], ring[idx[:, 1]]).reshape(-1, spec.dim).T
+    return idx[:, 0] * spec.n + idx[:, 1]
 
 
 def analytic_eigenvector(spec: LatticeSpec, idx: MomentumIndex) -> np.ndarray:
@@ -137,12 +160,8 @@ def degeneracy_census(
         tol = default_census_tol(spec)
     if tol <= 0:
         raise ValueError(f"tol must be > 0 (got {tol})")
-    energies = sorted(
-        analytic_eigenvalue(spec, MomentumIndex(r, s))
-        for r in range(spec.n)
-        for s in range(spec.n)
-    )
+    energies = np.sort(analytic_energies(spec), axis=None)
     return [
         (math.fsum(energies[c.start : c.stop]) / len(c), len(c))
-        for c in cluster_eigenvalues(np.array(energies), tol).clusters
+        for c in cluster_eigenvalues(energies, tol).clusters
     ]

@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .analytic import MomentumIndex, analytic_eigenvalue
+from .analytic import MomentumIndex, analytic_energies
 from .model import CommutingFamily, LatticeSpec, build_family
 from .simdiag import (
     SymBasis,
@@ -117,8 +117,7 @@ def compute_spectrum(spec: LatticeSpec) -> SpectrumData:
 def analytic_dispersion(spec: LatticeSpec) -> BandData:
     """Closed-form dispersion table in the same layout as :func:`compute_dispersion`."""
     labels = [MomentumIndex(r, s) for r in range(spec.n) for s in range(spec.n)]
-    energies = np.array([analytic_eigenvalue(spec, lab) for lab in labels])
-    return band_from_energies(spec, labels, energies)
+    return band_from_energies(spec, labels, analytic_energies(spec).ravel())
 
 
 def compare_to_analytic(band: BandData, spec: LatticeSpec) -> np.ndarray:

@@ -54,9 +54,10 @@ import numpy as np
 
 from .analytic import (
     MomentumIndex,
-    analytic_eigenvalue,
+    analytic_energies,
     analytic_eigenvector,
     analytic_eigenvectors,
+    label_codes,
 )
 from .eigen import EigenDecomposition, cluster_eigenvalues, default_gap_tol, eig_hermitian
 from .model import (
@@ -108,9 +109,11 @@ HOPPING_GAP_TOL = 2e-9
 CHUNK = 128
 
 # verify_basis transforms the basis to the oracle's plane waves from this
-# dimension (n = 20) up. Below it the transforms cost about as much as the
-# exact Gram product and the direct oracle overlaps they replace, or more at
-# prime n; on one core the transforms win from n = 20 (BENCH_11.json).
+# dimension (n = 20) up, where the transforms began to beat the exact Gram
+# product and the direct oracle overlaps (BENCH_11.json). Now that they also
+# replace the operator applications, they win at every n from 3 to 19 on one
+# core (BENCH_15.json); the threshold stays because the benchmark's own tests
+# pin one oracle call per column below it.
 FOURIER_MIN_DIM = 400
 
 
@@ -772,37 +775,59 @@ def _orthogonality_defect(v: np.ndarray) -> float:
     return float(np.sqrt(gram.max()))
 
 
-def _fourier_orthogonality_defect(f: np.ndarray) -> float | None:
+def _fourier_orthogonality_defect(f: np.ndarray, dropped: np.ndarray) -> float | None:
     """max |V* V - I| from the basis's plane-wave coefficients, in O(dim^2).
 
     ``f[i, j]`` = <u_i, v_j>, with u_i the oracle's plane wave at column i's
     own label, so ``f`` is the unitary 2-D DFT of V with its rows in label
     order and d = diag(f) holds each column's own-label overlap. With E = f
-    off its diagonal, V* V = f* f gives (V* V)_jj - 1 = |d_j|^2 + ||E_j||^2 - 1
-    and, for i != j, (V* V)_ij = conj(d_i) E_ij + conj(E_ji) d_j + R_ij with
-    |R_ij| <= max_j ||E_j||^2. Returns the estimate without R, or None when
-    that bound exceeds eps, where R could move the result. ``f`` must come
-    from bijective labels, and its diagonal is overwritten with zeros.
+    off its diagonal and ``dropped[j]`` = ||E_j||^2, V* V = f* f gives
+    (V* V)_jj - 1 = |d_j|^2 + ||E_j||^2 - 1 and, for i != j, (V* V)_ij =
+    G_ij + conj(G_ji) + R_ij with G = conj(d) E, row i scaled by conj(d_i),
+    and |R_ij| <= max_j ||E_j||^2. The estimate drops R, so it is taken only
+    when that bound is at most eps, where R cannot move the result; otherwise
+    None. Each pair {i, j} is visited once: the off-diagonal estimate is
+    Hermitian. ``f`` must come from bijective labels, and is overwritten by G.
     """
+    if dropped.max() > np.finfo(float).eps:
+        return None
     dim = f.shape[0]
     d = f.diagonal().copy()
     f[np.diag_indices(dim)] = 0.0
-    dropped = np.zeros((dim, 2))
+    f *= np.conj(d)[:, None]
     worst = 0.0
     for start in range(0, dim, CHUNK):
         rows = slice(start, start + CHUNK)
-        e = f[rows]
-        dropped += np.add.reduce(np.square(e.view(float)), axis=0).reshape(dim, 2)
-        off = np.conj(d[rows])[:, None] * e
-        mirrored = np.conj(f[:, rows].T)
-        mirrored *= d
-        off += mirrored
+        off = np.add(f[rows, start:], np.conj(f[start:, rows].T), order="C")
         worst = max(worst, float(_squared_moduli(off).max()))
-    dropped = dropped.sum(axis=1)
-    if dropped.max() > np.finfo(float).eps:
-        return None
     diagonal = (d.real * d.real + d.imag * d.imag - 1.0) + dropped
     return math.sqrt(max(worst, float(np.square(diagonal).max())))
+
+
+def _plane_wave_residuals(
+    power: np.ndarray, energies: np.ndarray, eigs: list[np.ndarray]
+) -> list[float]:
+    """Largest residual norms of H, S_x and S_y over a chunk, from its plane-wave power.
+
+    ``power[r, s, j]`` = |<u_(r,s), v_j>|^2 over the plane waves u_(r,s), an
+    (n, n, k) array, and ``energies[r, s]`` their closed-form energies;
+    ``eigs`` holds the chunk's H, S_x and S_y eigenvalues mu_j. The plane
+    waves are a unitary eigenbasis of all three operators, M = U Lambda U*,
+    so ||M v_j - mu_j v_j||^2 = sum_(r,s) |Lambda_(r,s) - mu_j|^2
+    power[r, s, j] holds for any v. S_x and S_y take exp(-2 pi i s/n) and
+    exp(-2 pi i r/n), which depend on one index each, so their sums run over
+    the two marginals of ``power``, in O(n k).
+    """
+    weights = energies[:, :, None] - eigs[0]
+    weights *= weights
+    weights *= power
+    squares = [np.add.reduce(weights.reshape(-1, weights.shape[2]), axis=0)]
+    n = power.shape[0]
+    phases = np.exp(-2j * math.pi * np.arange(n) / n)[:, None]
+    for marginal, mu in zip((power.sum(axis=0), power.sum(axis=1)), eigs[1:]):
+        gap = phases - mu
+        squares.append(np.add.reduce((gap.real**2 + gap.imag**2) * marginal, axis=0))
+    return [float(np.sqrt(sq.max())) for sq in squares]
 
 
 def verify_basis(
@@ -812,26 +837,39 @@ def verify_basis(
 
     Residuals use the basis's own Rayleigh-quotient eigenvalues; the
     eigenvalue and entrywise errors compare against the closed-form values at
-    each column's momentum label, with the analytic vector phase-aligned to
-    the computed column before the entrywise comparison.
+    each column's momentum label (one :func:`~tbbands.analytic.analytic_energies`
+    grid), with the analytic vector phase-aligned to the computed column
+    before the entrywise comparison.
 
     The oracle's eigenvectors are the plane waves u_(r,s), so a column's
     coefficients in them are its unitary 2-D DFT, <u_(r,s), v> =
     fft2(v on the (n, n) site grid)[r, s] / n, and V* V = W* W for W = U* V.
-    From dim >= FOURIER_MIN_DIM each chunk of columns is transformed once:
-    its own-label coefficients d_j align the oracle vectors' phases, and
-    :func:`_fourier_orthogonality_defect` estimates max |V* V - I| from W in
-    O(dim^2 log n), where the Gram product costs O(dim^3). The estimate drops
-    a term bounded by max_j ||E_j||^2, E_j column j's coefficients off its own
-    label, and is taken only when the labels are a bijection and that bound
-    is at most eps. Otherwise (a basis with swapped or duplicated labels, or
-    one mixed inside a degenerate block), and below FOURIER_MIN_DIM, the
-    exact Gram product :func:`_orthogonality_defect` is taken. The transform
-    checks a basis against the oracle; the solver never uses it.
+    From dim >= FOURIER_MIN_DIM each chunk of columns is transformed once,
+    and the coefficients give:
 
-    The residuals and the oracle comparison run CHUNK columns at a time; each
-    column's residual norm is the same as over the whole basis, bit for bit.
-    From FOURIER_MIN_DIM each chunk's oracle vectors come from one broadcast
+    * the three residuals (:func:`_plane_wave_residuals`): the plane waves
+      diagonalize H, S_x and S_y at once, so ||M v - mu v||^2 =
+      sum |Lambda - mu|^2 |<u, v>|^2 over the closed-form eigenvalues Lambda,
+      for any v and whatever its label; no operator is applied;
+    * the own-label coefficients d_j, which align the oracle vectors' phases;
+    * the orthogonality defect (:func:`_fourier_orthogonality_defect`), in
+      O(dim^2 log n) where the Gram product costs O(dim^3). The estimate
+      drops a term bounded by max_j ||E_j||^2, E_j column j's coefficients
+      off its own label, and is taken only when the labels are a bijection
+      and that bound is at most eps; only then is the (dim, dim) coefficient
+      array formed. Otherwise (a basis with swapped or duplicated labels, or
+      one mixed inside a degenerate block) the exact Gram product
+      :func:`_orthogonality_defect` is taken.
+
+    Below FOURIER_MIN_DIM the residuals apply each operator to the chunk and
+    the exact Gram product is taken; that direct path is the tests'
+    reference. The transform checks a basis against the oracle; the solver
+    never uses it, and the benchmark's checker forms its residuals on the
+    site grid, independently of both.
+
+    Every pass runs CHUNK columns at a time; each column's direct residual
+    norm is the same as over the whole basis, bit for bit. From
+    FOURIER_MIN_DIM each chunk's oracle vectors come from one broadcast
     product (:func:`~tbbands.analytic.analytic_eigenvectors`), below it from
     one :func:`~tbbands.analytic.analytic_eigenvector` call per column; both
     give the same bits.
@@ -842,45 +880,58 @@ def verify_basis(
     # One memory layout whatever the caller's: the column norms below round
     # differently over C- and F-ordered input, and _max_residual needs C order.
     v = np.ascontiguousarray(basis.vectors, dtype=complex)
-    exact_energies = np.array([analytic_eigenvalue(spec, label) for label in basis.labels])
-    eig_err = float(np.abs(basis.energies - exact_energies).max())
-    operators = (
-        (family.apply_h, basis.energies),
-        (family.apply_sx, basis.sym_eigs[:, 0]),
-        (family.apply_sy, basis.sym_eigs[:, 1]),
-    )
-    residuals = [0.0] * len(operators)
+    labels = np.asarray(basis.labels, dtype=int).reshape(-1, 2)
+    codes = label_codes(spec, labels)
+    energies = analytic_energies(spec)
+    eig_err = float(np.abs(basis.energies - energies.ravel()[codes]).max())
+    eigs = (basis.energies, basis.sym_eigs[:, 0], basis.sym_eigs[:, 1])
+    residuals = [0.0] * len(eigs)
     entry_err = 0.0
     fourier = dim >= FOURIER_MIN_DIM
-    if fourier:
-        codes = np.array([r * n + s for r, s in basis.labels])
+    bijective = fourier and np.unique(codes).size == dim
+    if bijective:
         # f[i, j] = <u_(label i), v_j>: the coefficients with rows in label order.
         f = np.empty((dim, dim), dtype=complex)
+        dropped = np.empty(dim)
     for start in range(0, dim, CHUNK):
         cols = slice(start, start + CHUNK)
         chunk = v[:, cols]
-        for i, (apply_operator, eigs) in enumerate(operators):
-            residual = _max_residual(apply_operator(chunk), chunk, eigs[cols])
-            residuals[i] = max(residuals[i], residual)
-        labels = basis.labels[cols]
         if fourier:
-            exact = analytic_eigenvectors(spec, labels)
-            coefficients = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
-            f[:, cols] = coefficients.reshape(dim, -1)[codes]
-            overlap = f[cols, cols].diagonal()
+            grid = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
+            coefficients = grid.reshape(dim, -1)
+            own = (codes[cols], np.arange(coefficients.shape[1]))
+            overlap = coefficients[own]
+            if bijective:
+                f[:, cols] = coefficients[codes]
+            power = _squared_moduli(coefficients)
+            chunk_residuals = _plane_wave_residuals(
+                power.reshape(n, n, -1), energies, [e[cols] for e in eigs]
+            )
+            if bijective:
+                power[own] = 0.0
+                dropped[cols] = np.add.reduce(power, axis=0)
+            exact = analytic_eigenvectors(spec, labels[cols])
         else:
+            chunk_residuals = [
+                _max_residual(apply_operator(chunk), chunk, e[cols])
+                for apply_operator, e in zip(
+                    (family.apply_h, family.apply_sx, family.apply_sy), eigs
+                )
+            ]
             # One oracle call per column, as perfbench's traced runs count them.
-            exact = np.stack([analytic_eigenvector(spec, label) for label in labels], axis=1)
+            exact = np.stack(
+                [analytic_eigenvector(spec, label) for label in basis.labels[cols]], axis=1
+            )
             overlap = _rayleigh_quotients(exact, chunk)
+        residuals = list(map(max, residuals, chunk_residuals))
         # Align each oracle vector's phase to its computed column.
         modulus = np.abs(overlap)
         exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
         exact -= chunk
         entry_err = max(entry_err, np.abs(exact.real).max(), np.abs(exact.imag).max())
     orth = None
-    if fourier:
-        if np.unique(codes).size == dim:
-            orth = _fourier_orthogonality_defect(f)
+    if bijective:
+        orth = _fourier_orthogonality_defect(f, dropped)
         del f
     if orth is None:
         orth = _orthogonality_defect(v)

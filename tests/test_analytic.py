@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tbbands.analytic import (
     MomentumIndex,
     analytic_eigenpair,
+    analytic_energies,
     analytic_eigenvalue,
     analytic_eigenvector,
     analytic_eigenvectors,
@@ -82,6 +83,19 @@ class TestEigenvalue:
         spec = LatticeSpec(n, alpha, t)
         total = math.fsum(analytic_eigenvalue(spec, idx) for idx in all_indices(n))
         assert abs(total - n * n * alpha) <= 1e-12 * n * n * abs(alpha)
+
+
+class TestEnergies:
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_grid_is_the_pointwise_values_bit_for_bit(self, n):
+        for alpha, t in [(1.0, 0.2), (-0.4, 1.1), (0.0, -1.5), (716.2394190794505, -1.7)]:
+            spec = LatticeSpec(n, alpha, t)
+            grid = analytic_energies(spec)
+            assert grid.shape == (n, n)
+            want = np.array([[analytic_eigenvalue(spec, (r, s)) for s in range(n)] for r in range(n)])
+            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+            # (r, s) and (s, r) feed the same two cosines to one sum.
+            assert np.array_equal(grid.view(np.uint64), grid.T.view(np.uint64))
 
 
 class TestEigenvector:

@@ -693,7 +693,10 @@ class TestVerifyBasis:
         assert simdiag._orthogonality_defect(mixed) > 1e-10
 
     @pytest.mark.parametrize("n", [12, 17, 20])
-    def test_chunked_residuals_equal_whole_basis_residuals(self, n):
+    def test_chunked_residuals_equal_whole_basis_residuals(self, n, monkeypatch):
+        # The direct path, also at n = 20: from FOURIER_MIN_DIM the residuals
+        # come from the plane-wave coefficients (TestPlaneWaveResiduals).
+        monkeypatch.setattr(simdiag, "FOURIER_MIN_DIM", n * n + 1)
         spec = LatticeSpec(n, -0.4, 1.1)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
@@ -733,6 +736,17 @@ class TestVerifyBasis:
             lambda spec, labels: np.stack([analytic_eigenvector(spec, x) for x in labels], axis=1),
         )
         assert verify_basis(basis, family, spec) == want
+
+    @pytest.mark.parametrize("n", [4, 20])
+    @pytest.mark.parametrize("bad", [(4, 20), (0, -1)])
+    def test_rejects_out_of_range_label(self, n, bad):
+        spec = LatticeSpec(n, 1.0, 0.2)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        labels = list(basis.labels)
+        labels[1] = MomentumIndex(*bad)
+        with pytest.raises(ValueError, match=rf"momentum index \({bad[0]}, {bad[1]}\) out of range"):
+            verify_basis(replace(basis, labels=labels), family, spec)
 
     def test_computed_basis_unit_circle_sym_eigs(self):
         family = build_family(LatticeSpec(5, 1.0, 0.2))
@@ -867,6 +881,126 @@ class TestFourierOrthogonality:
         basis = simultaneous_basis_refine(family)
         verify_basis(basis, family, spec)
         assert len(gram_calls) == (1 if n * n < simdiag.FOURIER_MIN_DIM else 0)
+
+
+class TestPlaneWaveResiduals:
+    """From FOURIER_MIN_DIM verify_basis reads the residuals from the plane-wave
+    coefficients; the direct path, which applies each operator, is the reference.
+
+    Both norms measure the same exact residual vector M v - mu v, each with
+    its own rounding. The direct one rounds apply_h's entries, by about
+    eps (|alpha| + 4|t|) <= 2e-15 per unit column for |alpha| <= 3 and
+    |t| <= 1.5 (the translations only move entries). The transform errs by
+    about eps sqrt(log2 dim) <= 8e-16 (rms) per unit column, weighted by
+    |Lambda - mu|, whose rms over the spectrum is at most 2 sqrt(5) |t| <= 6.7
+    for H and 2 for the translations: below 6e-15. RESIDUAL_TOL covers the
+    sum; the largest difference seen on the bases below is 1.5e-15.
+    """
+
+    RESIDUAL_TOL = 1e-14
+
+    @staticmethod
+    def direct_residuals(basis, family):
+        v = basis.vectors
+        return [
+            simdiag._max_residual(apply(v), v, eigs)
+            for apply, eigs in (
+                (family.apply_h, basis.energies),
+                (family.apply_sx, basis.sym_eigs[:, 0]),
+                (family.apply_sy, basis.sym_eigs[:, 1]),
+            )
+        ]
+
+    @staticmethod
+    def report_residuals(report):
+        return [report.max_residual_h, report.max_residual_sx, report.max_residual_sy]
+
+    @pytest.mark.parametrize(
+        "n,alpha,t",
+        [
+            (n, float(a), float(b))
+            for n, a, b in zip(
+                range(20, 32),
+                np.random.default_rng(62).uniform(-3.0, 3.0, 12),
+                np.random.default_rng(63).uniform(0.05, 1.5, 12) * np.resize([1, -1], 12),
+            )
+        ]
+        + [(22, 3.0, 1.5), (29, -3.0, -1.5)],
+    )
+    def test_match_the_direct_residuals_on_refine_bases(self, n, alpha, t):
+        spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        got = self.report_residuals(verify_basis(basis, family, spec))
+        for value, want in zip(got, self.direct_residuals(basis, family)):
+            assert abs(value - want) <= self.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("n", [20, 23])
+    def test_leak_into_a_degenerate_neighbour_reads_the_same_both_ways(self, n):
+        spec = LatticeSpec(n, 0.9, -0.4)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        # Columns come in label order; (r, s) and (s, r) share an energy.
+        a, b = n + 2, 2 * n + 1
+        assert abs(basis.energies[a] - basis.energies[b]) < 1e-13
+        v = basis.vectors.copy()
+        v[:, b] += 1e-9 * v[:, a]
+        leaked = replace(basis, vectors=v)
+        got = self.report_residuals(verify_basis(leaked, family, spec))
+        want = self.direct_residuals(leaked, family)
+        assert abs(got[0] - want[0]) <= self.RESIDUAL_TOL
+        for value, reference in zip(got[1:], want[1:]):
+            assert reference > 1e-10
+            assert math.isclose(value, reference, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_conjugated_translation_eigenvalue_reads_the_same_both_ways(self, axis):
+        spec = LatticeSpec(20, 1.3, -0.7)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        sym_eigs = basis.sym_eigs.copy()
+        j = 3 if axis == 0 else 3 * spec.n
+        assert abs(sym_eigs[j, axis].imag) > 0.5
+        sym_eigs[j, axis] = sym_eigs[j, axis].conjugate()
+        damaged = replace(basis, sym_eigs=sym_eigs)
+        got = self.report_residuals(verify_basis(damaged, family, spec))
+        want = self.direct_residuals(damaged, family)
+        assert want[1 + axis] > 1.0
+        for value, reference in zip(got, want):
+            assert math.isclose(value, reference, rel_tol=1e-6, abs_tol=self.RESIDUAL_TOL)
+
+    @pytest.mark.parametrize("damage", ["swapped", "duplicated"])
+    def test_labels_do_not_move_the_residuals(self, damage):
+        spec = LatticeSpec(21, -0.4, 0.9)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        labels = list(basis.labels)
+        if damage == "swapped":
+            labels[5], labels[40] = labels[40], labels[5]
+        else:
+            labels[5] = labels[40]
+        want = self.report_residuals(verify_basis(basis, family, spec))
+        got = self.report_residuals(verify_basis(replace(basis, labels=labels), family, spec))
+        assert got == want
+
+    @pytest.mark.parametrize("n", [12, 19, 20, 30])
+    def test_no_operator_applied_from_the_transform_on(self, n, monkeypatch):
+        calls = []
+        for name in ("apply_h", "apply_sx", "apply_sy"):
+            method = getattr(CommutingFamily, name)
+
+            def counted(self, v, _method=method, _name=name):
+                calls.append(_name)
+                return _method(self, v)
+
+            monkeypatch.setattr(CommutingFamily, name, counted)
+        spec = LatticeSpec(n, 1.3, -0.7)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        calls.clear()
+        verify_basis(basis, family, spec)
+        chunks = -(-spec.dim // simdiag.CHUNK)
+        assert len(calls) == (0 if spec.dim >= simdiag.FOURIER_MIN_DIM else 3 * chunks)
 
 
 class TestAllocationBudget:
