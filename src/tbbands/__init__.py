@@ -1,13 +1,10 @@
 """Tight-binding Hamiltonians on periodic square lattices with momentum-labelled eigenbases."""
 
 from .analytic import (
-    Momentum,
     MomentumIndex,
-    analytic_eigenpair,
     analytic_eigenvalue,
     analytic_eigenvector,
     degeneracy_census,
-    dispersion_point,
 )
 from .bands import (
     BandData,
@@ -35,9 +32,6 @@ from .simdiag import (
     SimultaneousDiagonalizationError,
     SymBasis,
     VerificationReport,
-    filter_simultaneous,
-    fix_phase,
-    momentum_labels,
     simultaneous_basis_combination,
     simultaneous_basis_refine,
     verify_basis,
@@ -51,7 +45,6 @@ __all__ = [
     "CommutingFamily",
     "EigenDecomposition",
     "LatticeSpec",
-    "Momentum",
     "MomentumIndex",
     "MomentumLabelError",
     "RefinementError",
@@ -60,7 +53,6 @@ __all__ = [
     "SymBasis",
     "VerificationReport",
     "analytic_dispersion",
-    "analytic_eigenpair",
     "analytic_eigenvalue",
     "analytic_eigenvector",
     "build_family",
@@ -70,11 +62,7 @@ __all__ = [
     "compute_dispersion",
     "compute_spectrum",
     "degeneracy_census",
-    "dispersion_point",
     "eig_hermitian",
-    "filter_simultaneous",
-    "fix_phase",
-    "momentum_labels",
     "simultaneous_basis_combination",
     "simultaneous_basis_refine",
     "verify_basis",

@@ -8,7 +8,6 @@ oracle for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,20 +21,6 @@ class MomentumIndex(NamedTuple):
 
     r: int
     s: int
-
-
-class Momentum(NamedTuple):
-    """Angular momentum components kx = 2*pi*r/n, ky = 2*pi*s/n."""
-
-    kx: float
-    ky: float
-
-
-@dataclass(frozen=True, eq=False)
-class AnalyticEigenpair:
-    index: MomentumIndex
-    energy: float
-    vector: np.ndarray
 
 
 def _check_index(spec: LatticeSpec, idx: MomentumIndex) -> None:
@@ -122,23 +107,6 @@ def _plane_waves(block_phase: np.ndarray, site_phase: np.ndarray) -> np.ndarray:
     parts = waves.view(float)
     parts *= 1.0 / block_phase.shape[-1]
     return waves
-
-
-def analytic_eigenpair(spec: LatticeSpec, idx: MomentumIndex) -> AnalyticEigenpair:
-    idx = MomentumIndex(*idx)
-    return AnalyticEigenpair(
-        index=idx,
-        energy=analytic_eigenvalue(spec, idx),
-        vector=analytic_eigenvector(spec, idx),
-    )
-
-
-def dispersion_point(spec: LatticeSpec, idx: MomentumIndex) -> tuple[Momentum, float]:
-    """Momentum components and energy for one index pair."""
-    _check_index(spec, idx)
-    r, s = idx
-    momentum = Momentum(2.0 * math.pi * r / spec.n, 2.0 * math.pi * s / spec.n)
-    return momentum, analytic_eigenvalue(spec, idx)
 
 
 def default_census_tol(spec: LatticeSpec) -> float:

@@ -108,13 +108,15 @@ HOPPING_GAP_TOL = 2e-9
 # (dim, dim) basis.
 CHUNK = 128
 
-# verify_basis transforms the basis to the oracle's plane waves from this
-# dimension (n = 20) up, where the transforms began to beat the exact Gram
-# product and the direct oracle overlaps (BENCH_11.json). Now that they also
-# replace the operator applications, they win at every n from 3 to 19 on one
-# core (BENCH_15.json); the threshold stays because the benchmark's own tests
-# pin one oracle call per column below it.
-FOURIER_MIN_DIM = 400
+# verify_basis takes its residuals, phase overlaps and orthogonality estimate
+# from the plane-wave transform at every n. Only its oracle plane waves, for
+# the entrywise error, are formed two ways: in one analytic_eigenvectors
+# broadcast per chunk from this dimension (n = 20) up, and by one
+# analytic_eigenvector call per column below it; both give the same bits.
+# The per-column calls cost about 3x the broadcast at n = 30; below the
+# threshold they stay, because the benchmark's tracer counts them (its own
+# tests expect 16 calls at n = 4).
+BULK_ORACLE_MIN_DIM = 400
 
 
 class SimultaneousDiagonalizationError(Exception):
@@ -744,15 +746,6 @@ def _squared_moduli(a: np.ndarray) -> np.ndarray:
     return squares
 
 
-def _max_residual(applied: np.ndarray, v: np.ndarray, eigs: np.ndarray) -> float:
-    """Largest column 2-norm of ``applied - v * eigs``, computed in ``applied``.
-
-    ``applied`` must be a C-ordered complex (dim, k) array; it is overwritten.
-    """
-    applied -= v * eigs
-    return float(np.sqrt(np.add.reduce(_squared_moduli(applied), axis=0).max()))
-
-
 def _orthogonality_defect(v: np.ndarray) -> float:
     """max |V* V - I| in real arithmetic.
 
@@ -844,13 +837,14 @@ def verify_basis(
     The oracle's eigenvectors are the plane waves u_(r,s), so a column's
     coefficients in them are its unitary 2-D DFT, <u_(r,s), v> =
     fft2(v on the (n, n) site grid)[r, s] / n, and V* V = W* W for W = U* V.
-    From dim >= FOURIER_MIN_DIM each chunk of columns is transformed once,
-    and the coefficients give:
+    At every n each chunk of columns is transformed once, and the
+    coefficients give:
 
     * the three residuals (:func:`_plane_wave_residuals`): the plane waves
       diagonalize H, S_x and S_y at once, so ||M v - mu v||^2 =
       sum |Lambda - mu|^2 |<u, v>|^2 over the closed-form eigenvalues Lambda,
-      for any v and whatever its label; no operator is applied;
+      for any v and whatever its label; no operator is applied, so the H
+      residual does not carry the rounding of alpha v;
     * the own-label coefficients d_j, which align the oracle vectors' phases;
     * the orthogonality defect (:func:`_fourier_orthogonality_defect`), in
       O(dim^2 log n) where the Gram product costs O(dim^3). The estimate
@@ -861,15 +855,10 @@ def verify_basis(
       one mixed inside a degenerate block) the exact Gram product
       :func:`_orthogonality_defect` is taken.
 
-    Below FOURIER_MIN_DIM the residuals apply each operator to the chunk and
-    the exact Gram product is taken; that direct path is the tests'
-    reference. The transform checks a basis against the oracle; the solver
-    never uses it, and the benchmark's checker forms its residuals on the
-    site grid, independently of both.
-
-    Every pass runs CHUNK columns at a time; each column's direct residual
-    norm is the same as over the whole basis, bit for bit. From
-    FOURIER_MIN_DIM each chunk's oracle vectors come from one broadcast
+    The transform checks a basis against the oracle; the solver never uses
+    it, and the benchmark's checker forms its residuals on the site grid,
+    independently of both. Every pass runs CHUNK columns at a time. From
+    BULK_ORACLE_MIN_DIM each chunk's oracle vectors come from one broadcast
     product (:func:`~tbbands.analytic.analytic_eigenvectors`), below it from
     one :func:`~tbbands.analytic.analytic_eigenvector` call per column; both
     give the same bits.
@@ -877,8 +866,7 @@ def verify_basis(
     n, dim = family.n, family.dim
     if basis.dim != dim:
         raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
-    # One memory layout whatever the caller's: the column norms below round
-    # differently over C- and F-ordered input, and _max_residual needs C order.
+    # One memory layout whatever the caller's, so that no metric depends on it.
     v = np.ascontiguousarray(basis.vectors, dtype=complex)
     labels = np.asarray(basis.labels, dtype=int).reshape(-1, 2)
     codes = label_codes(spec, labels)
@@ -887,8 +875,7 @@ def verify_basis(
     eigs = (basis.energies, basis.sym_eigs[:, 0], basis.sym_eigs[:, 1])
     residuals = [0.0] * len(eigs)
     entry_err = 0.0
-    fourier = dim >= FOURIER_MIN_DIM
-    bijective = fourier and np.unique(codes).size == dim
+    bijective = np.unique(codes).size == dim
     if bijective:
         # f[i, j] = <u_(label i), v_j>: the coefficients with rows in label order.
         f = np.empty((dim, dim), dtype=complex)
@@ -896,33 +883,25 @@ def verify_basis(
     for start in range(0, dim, CHUNK):
         cols = slice(start, start + CHUNK)
         chunk = v[:, cols]
-        if fourier:
-            grid = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
-            coefficients = grid.reshape(dim, -1)
-            own = (codes[cols], np.arange(coefficients.shape[1]))
-            overlap = coefficients[own]
-            if bijective:
-                f[:, cols] = coefficients[codes]
-            power = _squared_moduli(coefficients)
-            chunk_residuals = _plane_wave_residuals(
-                power.reshape(n, n, -1), energies, [e[cols] for e in eigs]
-            )
-            if bijective:
-                power[own] = 0.0
-                dropped[cols] = np.add.reduce(power, axis=0)
+        grid = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
+        coefficients = grid.reshape(dim, -1)
+        own = (codes[cols], np.arange(coefficients.shape[1]))
+        overlap = coefficients[own]
+        if bijective:
+            f[:, cols] = coefficients[codes]
+        power = _squared_moduli(coefficients)
+        chunk_residuals = _plane_wave_residuals(
+            power.reshape(n, n, -1), energies, [e[cols] for e in eigs]
+        )
+        if bijective:
+            power[own] = 0.0
+            dropped[cols] = np.add.reduce(power, axis=0)
+        if dim >= BULK_ORACLE_MIN_DIM:
             exact = analytic_eigenvectors(spec, labels[cols])
         else:
-            chunk_residuals = [
-                _max_residual(apply_operator(chunk), chunk, e[cols])
-                for apply_operator, e in zip(
-                    (family.apply_h, family.apply_sx, family.apply_sy), eigs
-                )
-            ]
-            # One oracle call per column, as perfbench's traced runs count them.
             exact = np.stack(
                 [analytic_eigenvector(spec, label) for label in basis.labels[cols]], axis=1
             )
-            overlap = _rayleigh_quotients(exact, chunk)
         residuals = list(map(max, residuals, chunk_residuals))
         # Align each oracle vector's phase to its computed column.
         modulus = np.abs(overlap)

@@ -42,3 +42,13 @@ def dense_h(spec):
 def dense_hopping(n):
     """The dense hopping operator A of the n x n lattice: H at alpha = 0, t = -1."""
     return dense_h(SimpleNamespace(n=n, alpha=0.0, t=-1.0))
+
+
+def max_residual(applied, v, eigs):
+    """Largest column 2-norm of ``applied - v * eigs``.
+
+    With ``applied`` = M v, the direct residual ||M v_j - mu_j v_j|| of each
+    column against its eigenvalue mu_j = ``eigs[j]``, summed on the site grid.
+    """
+    residual = applied - v * eigs
+    return float(np.sqrt(np.add.reduce(residual.real**2 + residual.imag**2, axis=0).max()))

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from tbbands.analytic import (
     MomentumIndex,
-    analytic_eigenpair,
     analytic_energies,
     analytic_eigenvalue,
     analytic_eigenvector,
     analytic_eigenvectors,
     degeneracy_census,
-    dispersion_point,
 )
+from tbbands.bands import analytic_dispersion
 from tbbands.model import LatticeSpec
 
 from dense_reference import dense_h
@@ -130,8 +129,8 @@ class TestEigenvector:
         spec = LatticeSpec(5, 1.0, 0.2)
         h = dense_h(spec)
         for idx in all_indices(5):
-            pair = analytic_eigenpair(spec, idx)
-            defect = h @ pair.vector - pair.energy * pair.vector
+            vector = analytic_eigenvector(spec, idx)
+            defect = h @ vector - analytic_eigenvalue(spec, idx) * vector
             assert np.abs(defect).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 7, 12])
@@ -147,8 +146,9 @@ class TestEigenvector:
         h = dense_h(spec)
         bound = 1e-13 * np.linalg.norm(h)
         for idx in all_indices(n):
-            pair = analytic_eigenpair(spec, idx)
-            assert np.linalg.norm(h @ pair.vector - pair.energy * pair.vector) <= bound
+            vector = analytic_eigenvector(spec, idx)
+            energy = analytic_eigenvalue(spec, idx)
+            assert np.linalg.norm(h @ vector - energy * vector) <= bound
 
 
 class TestEigenvectors:
@@ -176,24 +176,29 @@ class TestEigenvectors:
 
 
 class TestDispersionPoint:
+    """The rows of :func:`analytic_dispersion`, one per (r, s) in lexicographic order."""
+
     def test_band_bottom(self):
         spec = LatticeSpec(6, 1.0, 0.2)
-        momentum, energy = dispersion_point(spec, MomentumIndex(0, 0))
-        assert momentum == (0.0, 0.0)
-        assert math.isclose(energy, spec.alpha - 4 * spec.t, abs_tol=1e-15)
+        band = analytic_dispersion(spec)
+        assert (band.r[0], band.s[0], band.kx[0], band.ky[0]) == (0, 0, 0.0, 0.0)
+        assert math.isclose(band.energy[0], spec.alpha - 4 * spec.t, abs_tol=1e-15)
 
     def test_band_top_momentum_is_pi(self):
-        momentum, energy = dispersion_point(LatticeSpec(4, 1.0, 0.2), MomentumIndex(2, 2))
-        assert momentum.kx == math.pi and momentum.ky == math.pi
-        assert math.isclose(energy, 1.8, abs_tol=1e-15)
+        band = analytic_dispersion(LatticeSpec(4, 1.0, 0.2))
+        j = 2 * 4 + 2
+        assert (band.r[j], band.s[j]) == (2, 2)
+        assert band.kx[j] == math.pi and band.ky[j] == math.pi
+        assert math.isclose(band.energy[j], 1.8, abs_tol=1e-15)
 
     def test_full_grid_n25(self):
         spec = LatticeSpec(25, 1.0, 0.2)
-        for idx in all_indices(25):
-            momentum, energy = dispersion_point(spec, idx)
-            assert momentum.kx == 2 * math.pi * idx.r / 25
-            assert momentum.ky == 2 * math.pi * idx.s / 25
-            assert energy == analytic_eigenvalue(spec, idx)
+        band = analytic_dispersion(spec)
+        for j, idx in enumerate(all_indices(25)):
+            assert (band.r[j], band.s[j]) == idx
+            assert band.kx[j] == 2 * math.pi * idx.r / 25
+            assert band.ky[j] == 2 * math.pi * idx.s / 25
+            assert band.energy[j] == analytic_eigenvalue(spec, idx)
 
 
 class TestDegeneracyCensus:

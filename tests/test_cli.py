@@ -231,12 +231,16 @@ class TestVerifyCommand:
         assert "max_residual_h=" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "n,alpha,t", [(8, 1.0, 1e-6), (13, -2.5, 1e-3), (8, 1000.0, 0.2), (10, -1000.0, 1e-4)]
+        "n,alpha,t",
+        [(8, 1.0, 1e-6), (13, -2.5, 1e-3), (8, 1000.0, 0.2), (10, -1000.0, 1e-4), (12, 1e6, 0.3)],
     )
     def test_small_t_and_large_alpha_pass(self, n, alpha, t, capsys):
         # a tiny t or a large alpha/t ratio once mixed the degenerate columns
         # (the eigensolver's error scales with ||H||, the gaps with t); the
-        # basis now comes from the parameter-free hopping operator
+        # basis now comes from the parameter-free hopping operator. At
+        # alpha = 1e6 applying H rounds alpha v at eps |alpha| per entry, a
+        # residual of about 1e-10; verify reads the residuals from the
+        # plane-wave coefficients instead, where no operator is applied.
         argv = ["verify", "--n", str(n), "--alpha", repr(alpha), "--t", repr(t)]
         assert cli.main(argv) == 0
         assert "threshold breached" not in capsys.readouterr().err

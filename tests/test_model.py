@@ -206,7 +206,10 @@ class TestHamiltonian:
         draws = [(float(a), float(t)) for a, t in rng.uniform(-3.0, 3.0, (3, 2))]
         for alpha, t in draws + [(1.3, 0.0), (0.0, -0.7), (0.0, 0.0)]:
             spec = LatticeSpec(n, alpha, t)
-            want = np.linalg.norm(dense_h(spec))
+            # Summed exactly: np.linalg.norm is a BLAS reduction, which on one
+            # thread errs by up to 1.4e-15 here.
+            h = dense_h(spec)
+            want = math.sqrt(math.fsum((h * h).ravel()))
             assert math.isclose(hamiltonian_norm(spec), want, rel_tol=1e-15)
 
 

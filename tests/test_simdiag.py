@@ -44,7 +44,7 @@ from tbbands.simdiag import (
     verify_basis,
 )
 
-from dense_reference import dense_h, dense_hopping, dense_operators
+from dense_reference import dense_h, dense_hopping, dense_operators, max_residual
 
 
 def all_indices(n):
@@ -692,22 +692,24 @@ class TestVerifyBasis:
             assert abs(simdiag._orthogonality_defect(basis) - want) <= 1e-15
         assert simdiag._orthogonality_defect(mixed) > 1e-10
 
-    @pytest.mark.parametrize("n", [12, 17, 20])
-    def test_chunked_residuals_equal_whole_basis_residuals(self, n, monkeypatch):
-        # The direct path, also at n = 20: from FOURIER_MIN_DIM the residuals
-        # come from the plane-wave coefficients (TestPlaneWaveResiduals).
-        monkeypatch.setattr(simdiag, "FOURIER_MIN_DIM", n * n + 1)
+    @pytest.mark.parametrize("n", [3, 12, 17, 19, 20])
+    def test_chunked_residuals_equal_whole_basis_residuals(self, n):
+        # verify reads each chunk's residuals from its plane-wave coefficients;
+        # the reference applies each operator M to the whole basis. Both round
+        # the same exact residual norm, within a few eps ||M||_2: ||H||_2 =
+        # |alpha| + 4|t| = 4.8 here, and 1 for the translations.
         spec = LatticeSpec(n, -0.4, 1.1)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
         v = basis.vectors
         report = verify_basis(basis, family, spec)
-        for got, apply, eigs in (
-            (report.max_residual_h, family.apply_h, basis.energies),
-            (report.max_residual_sx, family.apply_sx, basis.sym_eigs[:, 0]),
-            (report.max_residual_sy, family.apply_sy, basis.sym_eigs[:, 1]),
+        eps = np.finfo(float).eps
+        for got, apply, eigs, norm in (
+            (report.max_residual_h, family.apply_h, basis.energies, 4.8),
+            (report.max_residual_sx, family.apply_sx, basis.sym_eigs[:, 0], 1.0),
+            (report.max_residual_sy, family.apply_sy, basis.sym_eigs[:, 1], 1.0),
         ):
-            assert got == simdiag._max_residual(apply(v), v, eigs)
+            assert abs(got - max_residual(apply(v), v, eigs)) <= 4 * eps * norm
 
     @pytest.mark.parametrize("n", [4, 19, 20, 30])
     def test_oracle_vectors_per_column_only_below_the_transform(self, n, monkeypatch):
@@ -722,7 +724,7 @@ class TestVerifyBasis:
         spec = LatticeSpec(n, 1.3, -0.7)
         family = build_family(spec)
         verify_basis(simultaneous_basis_refine(family), family, spec)
-        assert len(calls) == (n * n if n * n < simdiag.FOURIER_MIN_DIM else 0)
+        assert len(calls) == (n * n if n * n < simdiag.BULK_ORACLE_MIN_DIM else 0)
 
     @pytest.mark.parametrize("n", [20, 23])
     def test_bulk_oracle_vectors_give_the_per_column_report(self, n, monkeypatch):
@@ -782,10 +784,6 @@ class TestFourierOrthogonality:
         monkeypatch.setattr(simdiag, "_orthogonality_defect", counted)
         return calls
 
-    @pytest.fixture
-    def always_fourier(self, monkeypatch):
-        monkeypatch.setattr(simdiag, "FOURIER_MIN_DIM", 0)
-
     @pytest.mark.parametrize(
         "n,alpha,t",
         [
@@ -798,7 +796,7 @@ class TestFourierOrthogonality:
         ]
         + [(n, 1.3, 0.0) for n in (3, 4, 9, 16)],
     )
-    def test_estimate_matches_gram_on_refine_bases(self, n, alpha, t, always_fourier, gram_calls):
+    def test_estimate_matches_gram_on_refine_bases(self, n, alpha, t, gram_calls):
         spec = LatticeSpec(n, alpha, t)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
@@ -808,7 +806,7 @@ class TestFourierOrthogonality:
         assert abs(report.max_orthogonality_defect - want) <= 1e-15
 
     @pytest.mark.parametrize("n", [5, 12, 20])
-    def test_estimate_matches_gram_on_analytic_basis(self, n, always_fourier, gram_calls):
+    def test_estimate_matches_gram_on_analytic_basis(self, n, gram_calls):
         spec = LatticeSpec(n, 1.0, 0.2)
         family, basis = analytic_sym_basis(spec)
         report = verify_basis(basis, family, spec)
@@ -818,7 +816,7 @@ class TestFourierOrthogonality:
 
     @pytest.mark.parametrize("n", [6, 20])
     @pytest.mark.parametrize("defect", ["leak", "scale"])
-    def test_small_defects_read_the_same_both_ways(self, n, defect, always_fourier, gram_calls):
+    def test_small_defects_read_the_same_both_ways(self, n, defect, gram_calls):
         spec = LatticeSpec(n, 0.9, -0.4)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
@@ -834,7 +832,7 @@ class TestFourierOrthogonality:
         assert math.isclose(got, want, rel_tol=1e-6)
 
     @pytest.mark.parametrize("damage", ["swapped", "duplicated", "rotated"])
-    def test_bases_off_their_labels_take_the_exact_path(self, damage, always_fourier, gram_calls):
+    def test_bases_off_their_labels_take_the_exact_path(self, damage, gram_calls):
         spec = LatticeSpec(6, 1.0, 0.3)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
@@ -857,9 +855,7 @@ class TestFourierOrthogonality:
         assert len(gram_calls) == 1
         assert report.max_orthogonality_defect == simdiag._orthogonality_defect(damaged.vectors)
 
-    def test_duplicated_label_with_its_wave_missing_takes_the_exact_path(
-        self, always_fourier, gram_calls
-    ):
+    def test_duplicated_label_with_its_wave_missing_takes_the_exact_path(self, gram_calls):
         # Columns 0 and 1 both lie on the plane wave of label 1, which no
         # column carries after the duplication: every coefficient at the
         # labels is zero, so the dropped-term bound holds, and only the
@@ -876,16 +872,18 @@ class TestFourierOrthogonality:
 
     @pytest.mark.parametrize("n", [3, 12, 19, 20, 24])
     def test_exact_gram_below_the_dimension_threshold(self, n, gram_calls):
+        # For bijective labels the estimate replaces the Gram product at every n.
         spec = LatticeSpec(n, 1.3, -0.7)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
         verify_basis(basis, family, spec)
-        assert len(gram_calls) == (1 if n * n < simdiag.FOURIER_MIN_DIM else 0)
+        assert gram_calls == []
 
 
 class TestPlaneWaveResiduals:
-    """From FOURIER_MIN_DIM verify_basis reads the residuals from the plane-wave
-    coefficients; the direct path, which applies each operator, is the reference.
+    """verify_basis reads the residuals from the plane-wave coefficients; the
+    direct residuals, which apply each operator (dense_reference.max_residual),
+    are the reference.
 
     Both norms measure the same exact residual vector M v - mu v, each with
     its own rounding. The direct one rounds apply_h's entries, by about
@@ -903,7 +901,7 @@ class TestPlaneWaveResiduals:
     def direct_residuals(basis, family):
         v = basis.vectors
         return [
-            simdiag._max_residual(apply(v), v, eigs)
+            max_residual(apply(v), v, eigs)
             for apply, eigs in (
                 (family.apply_h, basis.energies),
                 (family.apply_sx, basis.sym_eigs[:, 0]),
@@ -983,7 +981,7 @@ class TestPlaneWaveResiduals:
         got = self.report_residuals(verify_basis(replace(basis, labels=labels), family, spec))
         assert got == want
 
-    @pytest.mark.parametrize("n", [12, 19, 20, 30])
+    @pytest.mark.parametrize("n", [3, 12, 19, 20, 30])
     def test_no_operator_applied_from_the_transform_on(self, n, monkeypatch):
         calls = []
         for name in ("apply_h", "apply_sx", "apply_sy"):
@@ -999,8 +997,7 @@ class TestPlaneWaveResiduals:
         basis = simultaneous_basis_refine(family)
         calls.clear()
         verify_basis(basis, family, spec)
-        chunks = -(-spec.dim // simdiag.CHUNK)
-        assert len(calls) == (0 if spec.dim >= simdiag.FOURIER_MIN_DIM else 3 * chunks)
+        assert calls == []
 
 
 class TestAllocationBudget:
