@@ -8,7 +8,6 @@ from .analytic import (
 )
 from .bands import (
     BandData,
-    SpectrumData,
     analytic_dispersion,
     compare_to_analytic,
     compute_basis,
@@ -49,7 +48,6 @@ __all__ = [
     "MomentumLabelError",
     "RefinementError",
     "SimultaneousDiagonalizationError",
-    "SpectrumData",
     "SymBasis",
     "VerificationReport",
     "analytic_dispersion",

@@ -26,9 +26,6 @@ METHODS = ("refine", "combination")
 class BandData:
     """Numerical dispersion relation: one row per momentum index, lexicographic in (r, s)."""
 
-    n: int
-    alpha: float
-    t: float
     r: np.ndarray
     s: np.ndarray
     kx: np.ndarray
@@ -47,13 +44,6 @@ class BandData:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumData:
-    """Eigenvalues of the Hamiltonian, ascending."""
-
-    values: np.ndarray
-
-
 def band_from_energies(
     spec: LatticeSpec, labels: list[MomentumIndex], energies: np.ndarray
 ) -> BandData:
@@ -62,9 +52,6 @@ def band_from_energies(
     r = np.array([labels[j].r for j in order], dtype=int)
     s = np.array([labels[j].s for j in order], dtype=int)
     return BandData(
-        n=spec.n,
-        alpha=spec.alpha,
-        t=spec.t,
         r=r,
         s=s,
         kx=2.0 * math.pi * r / spec.n,
@@ -103,15 +90,15 @@ def compute_dispersion(
     return band, verify_basis(basis, family, spec)
 
 
-def compute_spectrum(spec: LatticeSpec) -> SpectrumData:
-    """Sorted eigenvalues of the Hamiltonian (no momentum labels needed).
+def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
+    """Eigenvalues of the Hamiltonian, ascending (no momentum labels needed).
 
     The eigenvalues alpha - t lambda of H = alpha I - t A, from the same
     reflection-parity sector eigensolve of the hopping operator A that the
     refine method starts from.
     """
     hopping = sector_eigh(build_family(spec).n).values
-    return SpectrumData(values=np.sort(spec.alpha - spec.t * hopping))
+    return np.sort(spec.alpha - spec.t * hopping)
 
 
 def analytic_dispersion(spec: LatticeSpec) -> BandData:

@@ -110,9 +110,8 @@ def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    spectrum = compute_spectrum(config.spec())
     lines = ["index,energy"]
-    for i, value in enumerate(spectrum.values):
+    for i, value in enumerate(compute_spectrum(config.spec())):
         lines.append(f"{i},{_fmt(value)}")
     _write_lines(config.output_path, lines)
     return EXIT_OK

@@ -35,11 +35,16 @@ no momentum label. The routines here resolve the ambiguity in two ways:
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
   Hermitian/anti-Hermitian parts) and keep only those eigenvectors that are
-  simultaneous eigenvectors of H, S_x and S_y. Works whenever the combination
-  spectra are simple enough; fails explicitly otherwise.
+  simultaneous eigenvectors of H, S_x and S_y. The screen
+  (:func:`filter_simultaneous`) applies A, S_x and S_y to CHUNK candidates at
+  a time, takes H's residual as |t| times A's, and its Rayleigh quotients give
+  each kept column's translation eigenvalues and its energy alpha - t (v* A v).
+  Works whenever the combination spectra are simple enough; fails explicitly
+  otherwise.
 
 Each accepted column gets a deterministic phase (designated anchor entry real
-positive) and a momentum label recovered from its translation eigenvalues.
+positive) and a momentum label recovered from its translation eigenvalues by
+:func:`momentum_labels`, the one labelling step of both methods.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ logger = logging.getLogger(__name__)
 ANCHOR_FLOOR = 1e-6
 ANCHOR_TIE_RTOL = 1e-8
 
-# Residual acceptance threshold factor for filter_simultaneous: 1e-8 * ||H||_F.
+# Residual acceptance threshold factor for filter_simultaneous, 1e-8 * ||H||_F,
+# against the residuals of S_x, S_y and H, the last taken as |t| times A's.
 FILTER_RTOL = 1e-8
 
 # Momentum angles must sit within ANGLE_RTOL of the 2*pi/n grid (relative to
@@ -102,10 +108,10 @@ STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
 # entries at distinct columns per row), so the scale is 2 at every size.
 HOPPING_GAP_TOL = 2e-9
 
-# Columns per chunk of the passes over a whole basis: the energies in
-# _assemble, and the residuals, the oracle comparison and the orthogonality
-# estimate in verify_basis. Each chunk's temporaries stay a fraction of the
-# (dim, dim) basis.
+# Columns per chunk of the passes over a whole basis: the combination
+# method's screen, and the residuals, the oracle comparison and the
+# orthogonality estimate in verify_basis. Each chunk's temporaries stay a
+# fraction of the (dim, dim) basis.
 CHUNK = 128
 
 # verify_basis takes its residuals, phase overlaps and orthogonality estimate
@@ -247,17 +253,16 @@ def _phase_factors(block: np.ndarray) -> np.ndarray:
     return a.conj() / np.abs(a)
 
 
-def _momentum_indices(
-    sym_eigs: np.ndarray, n: int, angle_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def momentum_labels(sym_eigs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer labels (r, s) of the rows of a (k, 2) array of (x, y) translation eigenvalues.
 
-    The x-translation resolves s and the y-translation r. Raises
-    :class:`MomentumLabelError` naming the first column whose eigenvalue is
-    off the unit circle or off the 2*pi/n grid.
+    The x-translation (in-block shift) resolves s and the y-translation (block
+    shift) resolves r, each through the negative of the eigenvalue phase. This
+    sign and axis assignment is pinned by the analytic-vector regression test
+    at n=4; see tests/test_simdiag.py. Raises :class:`MomentumLabelError`
+    naming the first column whose eigenvalue is off the unit circle or off the
+    2*pi/n grid.
     """
-    if angle_tol is None:
-        angle_tol = (2.0 * math.pi / n) * ANGLE_RTOL
     indices = []
     for lam, axis in ((sym_eigs[:, 0], "x-translation"), (sym_eigs[:, 1], "y-translation")):
         modulus = np.abs(lam)
@@ -272,7 +277,7 @@ def _momentum_indices(
         # up exp(-2*pi*i*k/n); negate the phase to recover k.
         grid_pos = -n * np.angle(lam) / (2.0 * math.pi)
         k = np.round(grid_pos)
-        off_grid = np.flatnonzero(np.abs(grid_pos - k) * (2.0 * math.pi / n) > angle_tol)
+        off_grid = np.flatnonzero(np.abs(grid_pos - k) > ANGLE_RTOL)
         if off_grid.size:
             j = off_grid[0]
             raise MomentumLabelError(
@@ -296,27 +301,6 @@ def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
     np.conjugate(np.swapaxes(v, -1, -2), out=products)
     products *= np.swapaxes(applied, -1, -2)
     return products.sum(axis=-1)
-
-
-def momentum_labels(
-    basis_vectors: np.ndarray,
-    family: CommutingFamily,
-    angle_tol: float | None = None,
-) -> list[MomentumIndex]:
-    """Recover the (r, s) label of every column from its translation eigenvalues.
-
-    The x-translation (in-block shift) resolves s and the y-translation (block
-    shift) resolves r, each through the negative of the eigenvalue phase. This
-    sign and axis assignment is pinned by the analytic-vector regression test
-    at n=4; see tests/test_simdiag.py.
-    """
-    v = np.asarray(basis_vectors)
-    sym_eigs = np.stack(
-        [_rayleigh_quotients(v, family.apply_sx(v)), _rayleigh_quotients(v, family.apply_sy(v))],
-        axis=1,
-    )
-    r, s = _momentum_indices(sym_eigs, family.n, angle_tol)
-    return list(map(MomentumIndex, r.tolist(), s.tolist()))
 
 
 def _swap_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -522,18 +506,6 @@ def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
     return out
 
 
-def _hopping_quotients(vectors: np.ndarray, n: int) -> np.ndarray:
-    """Per-column v_j* A v_j under the hopping operator A, CHUNK columns at a time.
-
-    Each column's pairwise sum is the same as over the whole basis, bit for bit.
-    """
-    hopping = np.empty(vectors.shape[1])
-    for start in range(0, vectors.shape[1], CHUNK):
-        chunk = vectors[:, start : start + CHUNK]
-        hopping[start : start + CHUNK] = _rayleigh_quotients(chunk, apply_hopping(chunk, n)).real
-    return hopping
-
-
 def _assemble(
     vectors: np.ndarray,
     hopping: np.ndarray,
@@ -611,7 +583,7 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
         )
     applied = _apply_within_blocks(coords, [(g.cols, g.projected) for g in groups])
     sym_eigs = _rayleigh_quotients(coords, applied).T
-    r, s = _momentum_indices(sym_eigs, n)
+    r, s = momentum_labels(sym_eigs, n)
     codes = r * n + s
     collisions = dim - np.unique(codes).size
     if collisions:
@@ -664,29 +636,36 @@ def default_filter_tol(family: CommutingFamily) -> float:
 
 
 def filter_simultaneous(
-    candidates, family: CommutingFamily
-) -> list[tuple[np.ndarray, float, complex, complex]]:
-    """Keep the unit-norm candidates that are simultaneous eigenvectors.
+    candidates: np.ndarray, family: CommutingFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screen the unit-norm columns of a (dim, m) block for simultaneous eigenvectors.
 
-    A candidate v is accepted iff ``||M v - (v* M v) v||_2`` is at most
-    :func:`default_filter_tol` for every M among H, S_x, S_y. Returns
-    ``(vector, h_eig, sx_eig, sy_eig)`` with the Rayleigh quotients as
-    eigenvalues; an empty list is valid output.
+    A column v is accepted iff ``||M v - (v* M v) v||_2`` is at most
+    :func:`default_filter_tol` for every M among H, S_x, S_y. H = alpha I - t A
+    with A the hopping operator, so H's residual of a unit v is exactly |t|
+    times A's: A is applied and its residual scaled. Returns the (m,) accept
+    mask and the (m, 3) Rayleigh quotients (v* A v, v* S_x v, v* S_y v) of
+    every column, CHUNK columns at a time; each column's quotients are the
+    same, bit for bit, as when it is screened alone.
     """
     filter_tol = default_filter_tol(family)
-    accepted = []
-    for v in candidates:
-        v = np.asarray(v)
-        quotients = []
-        for apply_operator in (family.apply_h, family.apply_sx, family.apply_sy):
-            mv = apply_operator(v)
-            mu = np.vdot(v, mv)
-            if np.linalg.norm(mv - mu * v) > filter_tol:
-                break
-            quotients.append(mu)
-        else:
-            accepted.append((v, float(quotients[0].real), quotients[1], quotients[2]))
-    return accepted
+    screens = (
+        (functools.partial(apply_hopping, n=family.n), abs(family.spec.t)),
+        (family.apply_sx, 1.0),
+        (family.apply_sy, 1.0),
+    )
+    accept = np.ones(candidates.shape[1], dtype=bool)
+    quotients = np.empty((candidates.shape[1], 3), dtype=complex)
+    for start in range(0, candidates.shape[1], CHUNK):
+        cols = slice(start, start + CHUNK)
+        chunk = candidates[:, cols]
+        for i, (apply_operator, scale) in enumerate(screens):
+            applied = apply_operator(chunk)
+            mu = _rayleigh_quotients(chunk, applied)
+            applied -= mu * chunk
+            accept[cols] &= scale * np.linalg.norm(applied, axis=0) <= filter_tol
+            quotients[cols, i] = mu
+    return accept, quotients
 
 
 def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
@@ -696,12 +675,12 @@ def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
     whenever one of those matrices has a simple eigenvalue at some momentum,
     the corresponding eigenvector is automatically a simultaneous eigenvector
     of the whole family. Candidates are screened with
-    :func:`filter_simultaneous` and one survivor is kept per momentum label.
-    Both matrices are built from H itself: built from the hopping operator A
-    they would be those of alpha = 0, where their spectra degenerate, and the
-    method would fail at every (alpha, t). Only the energies come from A, as
-    in the refine method, here as the Rayleigh quotients alpha - t (v* A v)
-    (:func:`_hopping_quotients`).
+    :func:`filter_simultaneous` and the first survivor is kept per momentum
+    label. Both matrices are built from H itself: built from the hopping
+    operator A they would be those of alpha = 0, where their spectra
+    degenerate, and the method would fail at every (alpha, t). Only the
+    energies come from A, as in the refine method, here as alpha - t (v* A v)
+    from the screen's Rayleigh quotients.
 
     Raises
     ------
@@ -710,28 +689,24 @@ def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
         degenerate at the missing momenta for these (alpha, t, n). The
         refinement method remains the reliable path.
     """
+    n, dim = family.n, family.dim
     k1, k2 = combination_matrices(family)
     candidates = np.hstack([_normal_eigenbasis(k1), _normal_eigenbasis(k2)])
-    accepted = filter_simultaneous(candidates.T, family)
-    sym_eigs = np.array(
-        [(sx_eig, sy_eig) for _v, _h, sx_eig, sy_eig in accepted], dtype=complex
-    ).reshape(-1, 2)
-    r, s = _momentum_indices(sym_eigs, family.n)
-    chosen: dict[MomentumIndex, int] = {}
-    for j, label in enumerate(map(MomentumIndex, r.tolist(), s.tolist())):
-        chosen.setdefault(label, j)
-    dim = family.dim
-    if len(chosen) < dim:
+    accept, quotients = filter_simultaneous(candidates, family)
+    survivors = np.flatnonzero(accept)
+    r, s = momentum_labels(quotients[survivors, 1:], n)
+    codes, first = np.unique(r * n + s, return_index=True)
+    if codes.size < dim:
         raise CandidateDeficitError(
-            f"combination method recovered {len(chosen)} of {dim} momentum "
-            f"labels (deficit {dim - len(chosen)}): degenerate combination "
+            f"combination method recovered {codes.size} of {dim} momentum "
+            f"labels (deficit {dim - codes.size}): degenerate combination "
             "spectrum for these parameters; use the refinement method"
         )
-    labels = sorted(chosen)
-    keep = [chosen[label] for label in labels]
-    vectors = np.stack([accepted[j][0] for j in keep], axis=1)
-    hopping = _hopping_quotients(vectors, family.n)
-    return _assemble(vectors, hopping, sym_eigs[keep], labels, family)
+    keep = survivors[first]
+    labels = list(map(MomentumIndex, (codes // n).tolist(), (codes % n).tolist()))
+    return _assemble(
+        candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], labels, family
+    )
 
 
 def _squared_moduli(a: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_criterion_1_reference_experiment(capsys):
 
 def test_criterion_2_degeneracy_structure():
     spec = LatticeSpec(8, 1.0, 0.2)
-    values = compute_spectrum(spec).values
+    values = compute_spectrum(spec)
     clusters = cluster_eigenvalues(values, 1e-9).clusters
     failures = []
     if len(clusters) != 13:

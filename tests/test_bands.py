@@ -72,13 +72,13 @@ class TestComputeDispersion:
 class TestComputeSpectrum:
     def test_n8_extremes(self):
         spectrum = compute_spectrum(REFERENCE_N8)
-        assert abs(spectrum.values[0] - 0.2) <= 1e-13
-        assert abs(spectrum.values[-1] - 1.8) <= 1e-13
-        assert np.all(np.diff(spectrum.values) >= 0)
+        assert abs(spectrum[0] - 0.2) <= 1e-13
+        assert abs(spectrum[-1] - 1.8) <= 1e-13
+        assert np.all(np.diff(spectrum) >= 0)
 
     def test_t_zero(self):
         spectrum = compute_spectrum(LatticeSpec(4, 0.9, 0.0))
-        assert np.abs(spectrum.values - 0.9).max() <= 1e-14
+        assert np.abs(spectrum - 0.9).max() <= 1e-14
 
     def test_multiset_matches_oracle_n6(self):
         spec = LatticeSpec(6, 1.0, 0.2)
@@ -90,14 +90,14 @@ class TestComputeSpectrum:
                 for s in range(6)
             ]
         )
-        assert np.abs(spectrum.values - want).max() <= 1e-12
+        assert np.abs(spectrum - want).max() <= 1e-12
 
     def test_band_and_spectrum_agree_as_multisets(self):
         spec = LatticeSpec(5, 1.0, 0.2)
         band, _ = compute_dispersion(spec)
         spectrum = compute_spectrum(spec)
         bound = 1e-10 * np.linalg.norm(dense_h(spec))
-        assert np.abs(np.sort(band.energy) - spectrum.values).max() <= bound
+        assert np.abs(np.sort(band.energy) - spectrum).max() <= bound
 
 
 class TestCompareToAnalytic:

@@ -44,3 +44,5 @@ def test_every_layer_metric_is_a_number(op, tracer, tmp_path):
     assert set(report) == set(spans.LAYER_METRICS)
     absent = [name for name, m in report.items() if not isinstance(m["value"], (int, float))]
     assert absent == []
+    # Both solvers label through the wrapped momentum_labels, so its span is timed.
+    assert report["simdiag.labels_s"]["value"] > 0

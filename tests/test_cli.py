@@ -36,7 +36,7 @@ class TestSpectrumCommand:
         out = tmp_path / "spectrum.csv"
         assert cli.main(["spectrum", "--n", "6", "--out", str(out)]) == 0
         _header, rows = read_csv(out)
-        values = compute_spectrum(LatticeSpec(6, 1.0, 0.2)).values
+        values = compute_spectrum(LatticeSpec(6, 1.0, 0.2))
         for row, value in zip(rows, values):
             assert float(row[1]) == value
 

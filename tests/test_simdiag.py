@@ -13,6 +13,7 @@ from tbbands.analytic import (
     MomentumIndex,
     analytic_eigenvalue,
     analytic_eigenvector,
+    analytic_eigenvectors,
 )
 from tbbands.cli import VERIFY_THRESHOLDS
 from tbbands import simdiag
@@ -184,12 +185,25 @@ class TestFixPhase:
         assert np.abs(twice - once).max() <= 1e-15
 
 
+def translation_quotients(family, v):
+    """(k, 2) Rayleigh quotients of S_x and S_y over the columns of a (dim, k) block."""
+    return np.stack(
+        [(v.conj() * family.apply_sx(v)).sum(axis=0), (v.conj() * family.apply_sy(v)).sum(axis=0)],
+        axis=1,
+    )
+
+
+def labels_of(family, v):
+    r, s = momentum_labels(translation_quotients(family, v), family.n)
+    return list(map(MomentumIndex, r.tolist(), s.tolist()))
+
+
 class TestMomentumLabels:
     def test_uniform_vector_is_origin(self):
         spec = LatticeSpec(4, 1.0, 0.2)
         family = build_family(spec)
         v = analytic_eigenvector(spec, MomentumIndex(0, 0))[:, None]
-        assert momentum_labels(v, family) == [MomentumIndex(0, 0)]
+        assert labels_of(family, v) == [MomentumIndex(0, 0)]
 
     def test_convention_regression_n4(self):
         # Pins the sign and axis assignment: the analytic vector at (r, s) must
@@ -204,19 +218,18 @@ class TestMomentumLabels:
             want_x, want_y = translation_eigs(4, idx)
             assert abs(lam_x - want_x) <= 1e-14
             assert abs(lam_y - want_y) <= 1e-14
-            assert momentum_labels(v[:, None], family) == [idx]
+            assert labels_of(family, v[:, None]) == [idx]
 
     def test_full_analytic_basis_bijective(self):
         spec = LatticeSpec(5, 1.0, 0.2)
         family = build_family(spec)
         basis = np.stack([analytic_eigenvector(spec, idx) for idx in all_indices(5)], axis=1)
-        labels = momentum_labels(basis, family)
-        assert labels == all_indices(5)
+        assert labels_of(family, basis) == all_indices(5)
 
     def test_rejects_non_simultaneous_columns(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
         with pytest.raises(MomentumLabelError):
-            momentum_labels(np.eye(9, dtype=complex), family)
+            labels_of(family, np.eye(9, dtype=complex))
 
     def test_error_names_first_offending_column(self):
         spec = LatticeSpec(4, 1.0, 0.2)
@@ -225,17 +238,17 @@ class TestMomentumLabels:
         basis[:, 5] = np.eye(16)[:, 0]
         basis[:, 9] = np.eye(16)[:, 1]
         with pytest.raises(MomentumLabelError, match="column 5: x-translation"):
-            momentum_labels(basis, family)
+            labels_of(family, basis)
 
     def test_rejects_off_grid_angle(self):
         n = 4
         on_grid = np.exp(-2j * math.pi * np.array([[1, 2], [3, 0], [0, 1]]) / n)
-        r, s = simdiag._momentum_indices(on_grid, n)
+        r, s = momentum_labels(on_grid, n)
         assert r.tolist() == [2, 0, 1] and s.tolist() == [1, 3, 0]
         off_grid = on_grid.copy()
         off_grid[2, 1] *= np.exp(0.3j)
         with pytest.raises(MomentumLabelError, match="column 2: y-translation .* grid units"):
-            simdiag._momentum_indices(off_grid, n)
+            momentum_labels(off_grid, n)
 
 
 class TestFilterSimultaneous:
@@ -243,10 +256,11 @@ class TestFilterSimultaneous:
         spec = LatticeSpec(4, 1.0, 0.2)
         family = build_family(spec)
         idx = MomentumIndex(1, 2)
-        accepted = filter_simultaneous([analytic_eigenvector(spec, idx)], family)
-        assert len(accepted) == 1
-        _v, h_eig, sx_eig, sy_eig = accepted[0]
-        assert abs(h_eig - analytic_eigenvalue(spec, idx)) <= 1e-13
+        accept, quotients = filter_simultaneous(analytic_eigenvector(spec, idx)[:, None], family)
+        assert accept.tolist() == [True]
+        hopping, sx_eig, sy_eig = quotients[0]
+        energy = spec.alpha - spec.t * hopping.real
+        assert abs(energy - analytic_eigenvalue(spec, idx)) <= 1e-13
         want_x, want_y = translation_eigs(4, idx)
         assert abs(sx_eig - want_x) <= 1e-13
         assert abs(sy_eig - want_y) <= 1e-13
@@ -258,17 +272,51 @@ class TestFilterSimultaneous:
         a = analytic_eigenvector(spec, MomentumIndex(1, 0))
         b = analytic_eigenvector(spec, MomentumIndex(0, 1))
         mixed = (a + b) / np.linalg.norm(a + b)
-        assert filter_simultaneous([mixed], family) == []
+        accept, _ = filter_simultaneous(mixed[:, None], family)
+        assert accept.tolist() == [False]
 
     def test_rejects_coordinate_vector(self):
         family = build_family(LatticeSpec(4, 1.0, 0.2))
-        e0 = np.zeros(16, dtype=complex)
+        e0 = np.zeros((16, 1), dtype=complex)
         e0[0] = 1.0
-        assert filter_simultaneous([e0], family) == []
+        accept, _ = filter_simultaneous(e0, family)
+        assert accept.tolist() == [False]
 
     def test_empty_input_is_valid(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
-        assert filter_simultaneous([], family) == []
+        accept, quotients = filter_simultaneous(np.empty((9, 0), dtype=complex), family)
+        assert accept.shape == (0,) and quotients.shape == (0, 3)
+
+    def test_chunked_screen_equals_columns_screened_alone(self):
+        # 144 analytic and 144 unit columns span three CHUNK-column chunks
+        spec = LatticeSpec(12, 1.3, -0.7)
+        family = build_family(spec)
+        block = np.hstack(
+            [analytic_eigenvectors(spec, all_indices(12)), np.eye(144, dtype=complex)]
+        )
+        assert block.shape[1] > simdiag.CHUNK
+        accept, quotients = filter_simultaneous(block, family)
+        assert accept.tolist() == [True] * 144 + [False] * 144
+        for j in range(block.shape[1]):
+            alone, alone_quotients = filter_simultaneous(block[:, j : j + 1], family)
+            assert alone[0] == accept[j]
+            assert np.array_equal(alone_quotients[0], quotients[j])
+
+    def test_translation_screens_reject_at_t_zero(self):
+        # H = alpha I at t = 0: the scaled H test passes every column, and the
+        # S_x and S_y tests alone reject the non-simultaneous ones
+        spec = LatticeSpec(4, 1.0, 0.0)
+        family = build_family(spec)
+        a = analytic_eigenvector(spec, MomentumIndex(1, 0))
+        b = analytic_eigenvector(spec, MomentumIndex(2, 3))
+        e0 = np.eye(16, dtype=complex)[:, 0]
+        block = np.stack([a, (a + b) / np.linalg.norm(a + b), e0], axis=1)
+        applied = apply_hopping(block, 4)
+        mu = (block.conj() * applied).sum(axis=0)
+        hopping_residuals = np.linalg.norm(applied - mu * block, axis=0)
+        assert np.all(hopping_residuals[1:] > simdiag.default_filter_tol(family))
+        accept, _ = filter_simultaneous(block, family)
+        assert accept.tolist() == [True, False, False]
 
 
 class TestSectorEigh:
@@ -548,7 +596,7 @@ class TestRefine:
         dense = FILTER_RTOL * np.linalg.norm(dense_h(spec))
         assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
 
-    def test_chunked_energies_equal_whole_basis_quotients(self):
+    def test_chunked_energies_equal_whole_basis_quotients(self, monkeypatch):
         # refine's energies come from the block coordinates,
         # alpha - t sum_i |c_ij|^2 lambda_i; against alpha - t (v* A v) over the
         # whole returned basis they may differ by the sector eigensolve's
@@ -561,22 +609,29 @@ class TestRefine:
             want = alpha - t * whole
             bound = 64 * np.finfo(float).eps * abs(t) + np.spacing(np.abs(want))
             assert np.all(np.abs(basis.energies - want) <= bound)
-        # the combination method's quotients are formed CHUNK columns at a
-        # time; each column's pairwise sum is the same as over the whole
-        # basis, bit for bit (here at n = 30)
-        assert v.shape[1] > simdiag.CHUNK
-        assert np.array_equal(simdiag._hopping_quotients(v, n), whole)
+        # the combination method's energies come from its screen's quotients,
+        # formed CHUNK candidates at a time; each column's pairwise sum is the
+        # same as over the whole returned basis, bit for bit. The phase fix
+        # rotates each column after its energy is taken, which moves v* A v in
+        # its last bits, so it is switched off here.
+        monkeypatch.setattr(simdiag, "_phase_factors", lambda block: np.ones(block.shape[1]))
+        n, alpha, t = 12, 1.3, -0.7
+        assert 2 * n * n > simdiag.CHUNK
+        basis = simultaneous_basis_combination(build_family(LatticeSpec(n, alpha, t)))
+        v = basis.vectors
+        whole = simdiag._rayleigh_quotients(v, apply_hopping(v, n)).real
+        assert np.array_equal(basis.energies, alpha - t * whole)
 
     def test_label_collision_fails_loudly(self, monkeypatch):
         family = build_family(LatticeSpec(4, 1.0, 0.2))
-        labelled = simdiag._momentum_indices
+        labelled = simdiag.momentum_labels
 
-        def colliding(sym_eigs, n, angle_tol=None):
-            r, s = labelled(sym_eigs, n, angle_tol)
+        def colliding(sym_eigs, n):
+            r, s = labelled(sym_eigs, n)
             r[1], s[1] = r[0], s[0]
             return r, s
 
-        monkeypatch.setattr(simdiag, "_momentum_indices", colliding)
+        monkeypatch.setattr(simdiag, "momentum_labels", colliding)
         with pytest.raises(MomentumLabelError, match="1 collisions"):
             simultaneous_basis_refine(family)
 
