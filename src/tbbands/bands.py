@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .analytic import MomentumIndex, analytic_energies
+from .analytic import analytic_energies, label_codes
 from .model import CommutingFamily, LatticeSpec, build_family
 from .simdiag import (
     SymBasis,
@@ -44,13 +44,14 @@ class BandData:
             )
 
 
-def band_from_energies(
-    spec: LatticeSpec, labels: list[MomentumIndex], energies: np.ndarray
-) -> BandData:
-    """Assemble a BandData table from labelled energies (sorted by label)."""
-    order = sorted(range(len(labels)), key=lambda j: labels[j])
-    r = np.array([labels[j].r for j in order], dtype=int)
-    s = np.array([labels[j].s for j in order], dtype=int)
+def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandData:
+    """Assemble a BandData table from labelled energies, rows in label order.
+
+    ``labels`` is a sequence of index pairs or a (k, 2) integer array.
+    """
+    codes = label_codes(spec, labels)
+    order = np.argsort(codes, kind="stable")
+    r, s = np.divmod(codes[order], spec.n)
     return BandData(
         r=r,
         s=s,
@@ -103,7 +104,7 @@ def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
 
 def analytic_dispersion(spec: LatticeSpec) -> BandData:
     """Closed-form dispersion table in the same layout as :func:`compute_dispersion`."""
-    labels = [MomentumIndex(r, s) for r in range(spec.n) for s in range(spec.n)]
+    labels = np.stack(np.divmod(np.arange(spec.dim), spec.n), axis=1)
     return band_from_energies(spec, labels, analytic_energies(spec).ravel())
 
 
@@ -115,7 +116,7 @@ def compare_to_analytic(band: BandData, spec: LatticeSpec) -> np.ndarray:
     """
     if band.r.shape[0] != spec.dim:
         raise ValueError(f"band has {band.r.shape[0]} rows, expected {spec.dim}")
-    exact = analytic_dispersion(spec).energy.reshape(spec.n, spec.n)
+    exact = analytic_energies(spec)
     grid = np.zeros((spec.n, spec.n))
     grid[band.r, band.s] = np.abs(band.energy - exact[band.r, band.s])
     return grid

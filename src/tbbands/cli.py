@@ -15,9 +15,7 @@ cannot be written, 2 usage error, 3 verification threshold breach.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +35,7 @@ EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_THRESHOLD = 3
 
-# verify exits 0 only when every metric stays below its threshold.
+# verify exits 0 only when every metric is at most its threshold (a NaN breaches).
 VERIFY_THRESHOLDS = {
     "max_residual_h": 1.9e-11,
     "max_residual_sx": 1.9e-11,
@@ -46,19 +44,6 @@ VERIFY_THRESHOLDS = {
     "max_eigenvalue_error": 1.1e-13,
     "max_entrywise_vector_error": 3.5e-12,
 }
-
-
-@dataclass
-class RunConfig:
-    n: int
-    alpha: float
-    t: float
-    method: str = "refine"
-    output_path: str | None = None
-    vectors_path: str | None = None
-
-    def spec(self) -> LatticeSpec:
-        return LatticeSpec(n=self.n, alpha=self.alpha, t=self.t)
 
 
 # Eigenvector lines per write: the file is never held whole in memory.
@@ -109,49 +94,42 @@ def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
             fh.write("\n".join(map(",".join, cells)) + "\n")
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace, spec: LatticeSpec) -> int:
     lines = ["index,energy"]
-    for i, value in enumerate(compute_spectrum(config.spec())):
+    for i, value in enumerate(compute_spectrum(spec)):
         lines.append(f"{i},{_fmt(value)}")
-    _write_lines(config.output_path, lines)
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 
-def cmd_bands(config: RunConfig) -> int:
-    spec = config.spec()
-    _family, basis = compute_basis(spec, config.method)
+def cmd_bands(args: argparse.Namespace, spec: LatticeSpec) -> int:
+    _family, basis = compute_basis(spec, args.method)
     band = band_from_energies(spec, basis.labels, basis.energies)
-    _write_band_csv(config.output_path, band)
-    if config.vectors_path is not None:
-        _write_vectors_csv(config.vectors_path, basis.vectors)
+    _write_band_csv(args.out, band)
+    if args.vectors is not None:
+        _write_vectors_csv(args.vectors, basis.vectors)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec = config.spec()
-    family, basis = compute_basis(spec, config.method)
-    report = verify_basis(basis, family, spec)
-    _write_lines(
-        config.output_path, [f"{key}={_fmt(value)}" for key, value in report.as_dict().items()]
-    )
-    if config.vectors_path is not None:
-        _write_vectors_csv(config.vectors_path, basis.vectors)
-    breached = [
-        key for key, value in report.as_dict().items() if value > VERIFY_THRESHOLDS[key]
-    ]
+def cmd_verify(args: argparse.Namespace, spec: LatticeSpec) -> int:
+    family, basis = compute_basis(spec, args.method)
+    report = verify_basis(basis, family, spec).as_dict()
+    _write_lines(args.out, [f"{key}={_fmt(value)}" for key, value in report.items()])
+    if args.vectors is not None:
+        _write_vectors_csv(args.vectors, basis.vectors)
+    breached = [key for key, value in report.items() if not value <= VERIFY_THRESHOLDS[key]]
     if breached:
         print(f"threshold breached: {', '.join(breached)}", file=sys.stderr)
         return EXIT_THRESHOLD
     return EXIT_OK
 
 
-def cmd_analytic(config: RunConfig) -> int:
-    spec = config.spec()
+def cmd_analytic(args: argparse.Namespace, spec: LatticeSpec) -> int:
     band = analytic_dispersion(spec)
-    _write_band_csv(config.output_path, band)
-    if config.vectors_path is not None:
+    _write_band_csv(args.out, band)
+    if args.vectors is not None:
         vectors = analytic_eigenvectors(spec, np.stack([band.r, band.s], axis=1))
-        _write_vectors_csv(config.vectors_path, vectors)
+        _write_vectors_csv(args.vectors, vectors)
     return EXIT_OK
 
 
@@ -200,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
             "verify",
             help="basis-quality metrics",
             description="Prints six key=value metrics; exits 0 only if all "
-            f"stay below the built-in thresholds: {thresholds}. Exits 3 on a breach.",
+            f"stay below the built-in thresholds: {thresholds}. Exits 3 on a "
+            "breach; a NaN metric is a breach.",
         ),
         with_method=True, with_vectors=True,
     )
@@ -211,24 +190,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_parameter_values(argv: list[str]) -> list[str]:
+    """Pass ``--alpha X`` and ``--t X`` as ``--alpha=X``: argparse takes -1e-6 for an option."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("--alpha", "--t") else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.n < 3:
-        parser.error(f"--n must be >= 3 (got {args.n})")
-    for flag, value in (("--alpha", args.alpha), ("--t", args.t)):
-        if not math.isfinite(value):
-            parser.error(f"{flag} must be a finite number (got {value})")
-    config = RunConfig(
-        n=args.n,
-        alpha=args.alpha,
-        t=args.t,
-        method=getattr(args, "method", "refine"),
-        output_path=args.out,
-        vectors_path=getattr(args, "vectors", None),
-    )
+    args = parser.parse_args(_join_parameter_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.command](config)
+        spec = LatticeSpec(n=args.n, alpha=args.alpha, t=args.t)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return _COMMANDS[args.command](args, spec)
     except (SimultaneousDiagonalizationError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"tbbands {args.command}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -41,6 +41,8 @@ class LatticeSpec:
     The Hamiltonian acts on the n*n sites of the periodic lattice. n >= 3 is
     required: for n = 2 the left and right neighbour of a site coincide and the
     nearest-neighbour coupling pattern would double up, and n = 1 self-couples.
+    |alpha| + 4|t|, the bound on every energy, must be a finite float, which
+    also rules out a NaN or infinite alpha or t.
     """
 
     n: int
@@ -53,8 +55,11 @@ class LatticeSpec:
                 f"n must be >= 3 (got {self.n}); below that the cyclic "
                 "neighbours coincide and the four-neighbour pattern breaks"
             )
-        if not (math.isfinite(self.alpha) and math.isfinite(self.t)):
-            raise ValueError("alpha and t must be finite reals")
+        if not math.isfinite(abs(self.alpha) + 4.0 * abs(self.t)):
+            raise ValueError(
+                f"alpha and t must be finite, with |alpha| + 4|t| finite "
+                f"(got alpha={self.alpha}, t={self.t})"
+            )
 
     @property
     def dim(self) -> int:
@@ -163,9 +168,10 @@ def build_family(spec: LatticeSpec) -> CommutingFamily:
 
     Refuses a dimension above MAX_DENSE_DIM before allocating anything. The
     commutators [H, S_x], [H, S_y] and [S_x, S_y] are checked on the operators
-    the solver applies, on one probe column of distinct nonzero entries: each
-    output entry of ``apply_h`` is summed in the same order wherever it sits,
-    so a product and its swap agree bit for bit, and any mismatch is a
+    the solver applies, on one probe column of distinct nonzero entries of
+    modulus at most 1, so no product overflows while |alpha| + 4|t| is finite:
+    each output entry of ``apply_h`` is summed in the same order wherever it
+    sits, so a product and its swap agree bit for bit, and any mismatch is a
     construction bug, not a numerical artifact. The check costs O(dim).
     """
     if spec.dim > MAX_DENSE_DIM:
@@ -173,7 +179,7 @@ def build_family(spec: LatticeSpec) -> CommutingFamily:
             f"dimension {spec.dim} (n = {spec.n}) exceeds the dense cap {MAX_DENSE_DIM}"
         )
     family = CommutingFamily(spec=spec)
-    probe = np.arange(1.0, spec.dim + 1.0)
+    probe = np.arange(1.0, spec.dim + 1.0) / spec.dim
     h, sx, sy = family.apply_h, family.apply_sx, family.apply_sy
     for name, a, b in (("[h, sx]", h, sx), ("[h, sy]", h, sy), ("[sx, sy]", sx, sy)):
         if not np.array_equal(a(b(probe)), b(a(probe))):

@@ -53,7 +53,7 @@ import cmath
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -166,7 +166,7 @@ class SymBasis:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-column maxima of the basis-quality metrics (all >= 0)."""
+    """Per-column maxima of the basis-quality metrics (each >= 0, or NaN)."""
 
     max_residual_h: float
     max_residual_sx: float
@@ -176,14 +176,7 @@ class VerificationReport:
     max_entrywise_vector_error: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "max_residual_h": self.max_residual_h,
-            "max_residual_sx": self.max_residual_sx,
-            "max_residual_sy": self.max_residual_sy,
-            "max_orthogonality_defect": self.max_orthogonality_defect,
-            "max_eigenvalue_error": self.max_eigenvalue_error,
-            "max_entrywise_vector_error": self.max_entrywise_vector_error,
-        }
+        return asdict(self)
 
 
 def combination_matrices(
@@ -756,8 +749,9 @@ def _fourier_orthogonality_defect(f: np.ndarray, dropped: np.ndarray) -> float |
     when that bound is at most eps, where R cannot move the result; otherwise
     None. Each pair {i, j} is visited once: the off-diagonal estimate is
     Hermitian. ``f`` must come from bijective labels, and is overwritten by G.
+    A NaN in ``dropped`` also gives None.
     """
-    if dropped.max() > np.finfo(float).eps:
+    if not dropped.max() <= np.finfo(float).eps:
         return None
     dim = f.shape[0]
     d = f.diagonal().copy()
@@ -836,7 +830,8 @@ def verify_basis(
     BULK_ORACLE_MIN_DIM each chunk's oracle vectors come from one broadcast
     product (:func:`~tbbands.analytic.analytic_eigenvectors`), below it from
     one :func:`~tbbands.analytic.analytic_eigenvector` call per column; both
-    give the same bits.
+    give the same bits. The maxima propagate NaN: a NaN entry in the basis
+    gives NaN residuals, orthogonality defect and entrywise error.
     """
     n, dim = family.n, family.dim
     if basis.dim != dim:
@@ -848,7 +843,7 @@ def verify_basis(
     energies = analytic_energies(spec)
     eig_err = float(np.abs(basis.energies - energies.ravel()[codes]).max())
     eigs = (basis.energies, basis.sym_eigs[:, 0], basis.sym_eigs[:, 1])
-    residuals = [0.0] * len(eigs)
+    residuals = np.zeros(len(eigs))
     entry_err = 0.0
     bijective = np.unique(codes).size == dim
     if bijective:
@@ -877,12 +872,12 @@ def verify_basis(
             exact = np.stack(
                 [analytic_eigenvector(spec, label) for label in basis.labels[cols]], axis=1
             )
-        residuals = list(map(max, residuals, chunk_residuals))
+        residuals = np.maximum(residuals, chunk_residuals)
         # Align each oracle vector's phase to its computed column.
         modulus = np.abs(overlap)
         exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
         exact -= chunk
-        entry_err = max(entry_err, np.abs(exact.real).max(), np.abs(exact.imag).max())
+        entry_err = np.max([entry_err, np.abs(exact.real).max(), np.abs(exact.imag).max()])
     orth = None
     if bijective:
         orth = _fourier_orthogonality_defect(f, dropped)
@@ -890,9 +885,7 @@ def verify_basis(
     if orth is None:
         orth = _orthogonality_defect(v)
     return VerificationReport(
-        max_residual_h=residuals[0],
-        max_residual_sx=residuals[1],
-        max_residual_sy=residuals[2],
+        *residuals.tolist(),
         max_orthogonality_defect=orth,
         max_eigenvalue_error=eig_err,
         max_entrywise_vector_error=float(entry_err),

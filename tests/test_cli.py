@@ -1,6 +1,8 @@
+import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +269,16 @@ class TestVerifyCommand:
         assert "max_residual_h=1" in captured.out
         assert "max_residual_h" in captured.err
 
+    @pytest.mark.parametrize("key", list(cli.VERIFY_THRESHOLDS))
+    def test_nan_metric_is_a_breach(self, key, capsys, monkeypatch):
+        # "value > threshold" is False for a NaN, which then passed.
+        clean = VerificationReport(**dict.fromkeys(cli.VERIFY_THRESHOLDS, 0.0))
+        monkeypatch.setattr(cli, "verify_basis", lambda *args: replace(clean, **{key: math.nan}))
+        assert cli.main(["verify", "--n", "3"]) == 3
+        captured = capsys.readouterr()
+        assert f"{key}=nan" in captured.out
+        assert captured.err == f"threshold breached: {key}\n"
+
 
 class TestAnalyticCommand:
     def test_schema_matches_bands(self, tmp_path):
@@ -363,6 +375,32 @@ class TestUsage:
             cli.main([command, "--n", "4", f"{flag}={value}"])
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--t", "-1e-6"), ("--alpha", "-2e+3")])
+    def test_negative_value_in_exponent_notation(self, flag, value, capsys):
+        # argparse reads a token like -1e-6 as an option: "--t -1e-6" exited 2
+        # with "expected one argument", while "--t=-1e-6" worked.
+        assert cli.main(["bands", "--n", "4", flag, value]) == 0
+        spaced = capsys.readouterr()
+        assert cli.main(["bands", "--n", "4", f"{flag}={value}"]) == 0
+        assert capsys.readouterr() == spaced
+
+    def test_negative_infinity_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bands", "--n", "4", "--t", "-inf"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_energy_bound_overflow_is_usage_error(self):
+        # every value is finite, but |alpha| + 4|t| is not: this printed a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "tbbands", "spectrum", "--n", "3", "--alpha", "1e308", "--t", "1e308"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "|alpha| + 4|t|" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["spectrum", "bands", "verify"])
     def test_above_dense_cap_is_compute_error(self, command, capsys):

@@ -46,6 +46,12 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(4, 1.0, math.nan)
 
+    def test_rejects_energy_bound_overflow(self):
+        # alpha and t are finite, but |alpha| + 4|t|, the bound on every energy, is not.
+        with pytest.raises(ValueError, match=r"\|alpha\| \+ 4\|t\|"):
+            LatticeSpec(3, 1e308, 1e308)
+        assert LatticeSpec(3, 1e308, 1e307).dim == 9
+
     def test_dim(self):
         assert LatticeSpec(5, 1.0, 0.2).dim == 25
 

@@ -668,6 +668,14 @@ class TestRefine:
         assert {k: v for k, v in report.items() if v > VERIFY_THRESHOLDS[k]} == {}
 
 
+    def test_large_finite_parameters_solve(self):
+        # |alpha| + 4|t| = 1.04e308 is finite; the commutator probe
+        # arange(1, dim + 1) once overflowed here into a false "construction bug".
+        spec = LatticeSpec(30, 1e308, 1e307)
+        basis = simultaneous_basis_refine(build_family(spec))
+        assert np.isfinite(basis.energies).all()
+
+
 class TestCombinationMethod:
     @pytest.mark.parametrize("n", [3, 4])
     def test_agrees_with_refine(self, n):
@@ -693,6 +701,26 @@ class TestCombinationMethod:
 
 
 class TestVerifyBasis:
+    @pytest.mark.parametrize("n", [4, 21])
+    def test_nan_entry_is_not_read_as_zero(self, n):
+        # Python's max(0.0, nan) is 0.0: maxima taken with it reported a NaN
+        # entry as 0 at n = 4, and at n = 21 (four chunks) kept only the
+        # other chunks' residuals.
+        spec = LatticeSpec(n, 1.0, 0.2)
+        family = build_family(spec)
+        basis = simultaneous_basis_refine(family)
+        vectors = basis.vectors.copy()
+        vectors[3, 5] = np.nan
+        report = verify_basis(replace(basis, vectors=vectors), family, spec).as_dict()
+        nan_keys = [key for key, value in report.items() if math.isnan(value)]
+        assert nan_keys == [
+            "max_residual_h",
+            "max_residual_sx",
+            "max_residual_sy",
+            "max_orthogonality_defect",
+            "max_entrywise_vector_error",
+        ]
+
     def test_exact_analytic_basis_n5(self):
         spec = LatticeSpec(5, 1.0, 0.2)
         family, basis = analytic_sym_basis(spec)
