@@ -8,7 +8,6 @@ oracle for the numerical pipeline.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,20 +15,13 @@ from .eigen import cluster_eigenvalues
 from .model import LatticeSpec
 
 
-class MomentumIndex(NamedTuple):
-    """Integer pair labelling one eigenpair; each component lives in [0, n)."""
-
-    r: int
-    s: int
-
-
-def _check_index(spec: LatticeSpec, idx: MomentumIndex) -> None:
+def _check_index(spec: LatticeSpec, idx) -> None:
     r, s = idx
     if not (0 <= r < spec.n and 0 <= s < spec.n):
         raise ValueError(f"momentum index {tuple(idx)} out of range for n={spec.n}")
 
 
-def analytic_eigenvalue(spec: LatticeSpec, idx: MomentumIndex) -> float:
+def analytic_eigenvalue(spec: LatticeSpec, idx) -> float:
     """Energy at index (r, s): alpha - 2t*(cos(2*pi*r/n) + cos(2*pi*s/n)).
 
     The two cosines are added before scaling so swapping r and s gives the
@@ -82,7 +74,7 @@ def label_codes(spec: LatticeSpec, labels) -> np.ndarray:
     return idx[:, 0] * spec.n + idx[:, 1]
 
 
-def analytic_eigenvector(spec: LatticeSpec, idx: MomentumIndex) -> np.ndarray:
+def analytic_eigenvector(spec: LatticeSpec, idx) -> np.ndarray:
     """The unit eigenvector at index (r, s): :func:`analytic_eigenvectors` of one label."""
     _check_index(spec, idx)
     r, s = idx

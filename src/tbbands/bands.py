@@ -47,7 +47,7 @@ class BandData:
 def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandData:
     """Assemble a BandData table from labelled energies, rows in label order.
 
-    ``labels`` is a sequence of index pairs or a (k, 2) integer array.
+    ``labels`` is a (k, 2) integer array, row j the (r, s) of ``energies[j]``.
     """
     codes = label_codes(spec, labels)
     order = np.argsort(codes, kind="stable")

@@ -32,7 +32,6 @@ from .simdiag import SimultaneousDiagonalizationError, verify_basis
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
-EXIT_USAGE = 2
 EXIT_THRESHOLD = 3
 
 # verify exits 0 only when every metric is at most its threshold (a NaN breaches).
@@ -191,10 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_parameter_values(argv: list[str]) -> list[str]:
-    """Pass ``--alpha X`` and ``--t X`` as ``--alpha=X``: argparse takes -1e-6 for an option."""
+    """Pass ``--alpha X``, or any prefix of it from ``--a``, and ``--t X`` as
+    ``--alpha=X``: argparse takes -1e-6 for an option."""
     joined, tokens = [], iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in ("--alpha", "--t") else None
+        parameter = token == "--t" or (len(token) > 2 and "--alpha".startswith(token))
+        value = next(tokens, None) if parameter else None
         joined.append(token if value is None else f"{token}={value}")
     return joined
 

@@ -42,8 +42,8 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   Works whenever the combination spectra are simple enough; fails explicitly
   otherwise.
 
-Each accepted column gets a deterministic phase (designated anchor entry real
-positive) and a momentum label recovered from its translation eigenvalues by
+Each accepted column gets a deterministic phase (first entry real positive)
+and a momentum label recovered from its translation eigenvalues by
 :func:`momentum_labels`, the one labelling step of both methods.
 """
 
@@ -51,14 +51,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-import logging
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytic import (
-    MomentumIndex,
     analytic_energies,
     analytic_eigenvector,
     analytic_eigenvectors,
@@ -76,15 +74,9 @@ from .model import (
     translate,
 )
 
-logger = logging.getLogger(__name__)
-
-# Below ANCHOR_FLOOR/sqrt(dim) the first entry is too small to define a phase;
-# fall back to the first entry whose modulus is within ANCHOR_TIE_RTOL of the
-# largest. Rotating a column moves its moduli by a few ulps, so an exact
-# argmax could jump between near-equal entries and fix_phase would not be
-# idempotent.
+# Below ANCHOR_FLOOR/sqrt(dim) the first entry is too small to define a
+# phase. Every momentum eigenvector has entries of modulus 1/sqrt(dim).
 ANCHOR_FLOOR = 1e-6
-ANCHOR_TIE_RTOL = 1e-8
 
 # Residual acceptance threshold factor for filter_simultaneous, 1e-8 * ||H||_F,
 # against the residuals of S_x, S_y and H, the last taken as |t| times A's.
@@ -145,18 +137,18 @@ class MomentumLabelError(SimultaneousDiagonalizationError):
 class SymBasis:
     """Unitary basis of simultaneous eigenvectors, ordered by (r, s) label.
 
-    ``vectors[:, j]`` is a simultaneous eigenvector; ``energies[j]`` its
-    energy alpha - t lambda_j, with lambda_j its eigenvalue under the hopping
-    operator A as the solver computed it (the refine method from its block
-    coordinates, the combination method as the Rayleigh quotient
-    v_j* A v_j); ``labels[j]`` its momentum index;
-    ``sym_eigs[j]`` the pair of unit-modulus translation eigenvalues
-    (x-translation, y-translation).
+    ``vectors[:, j]`` is a simultaneous eigenvector, its first entry real
+    positive; ``energies[j]`` its energy alpha - t lambda_j, with lambda_j its
+    eigenvalue under the hopping operator A as the solver computed it (the
+    refine method from its block coordinates, the combination method as the
+    Rayleigh quotient v_j* A v_j); ``labels`` a (dim, 2) integer array whose
+    row j is the column's momentum index (r, s); ``sym_eigs[j]`` the pair of
+    unit-modulus translation eigenvalues (x-translation, y-translation).
     """
 
     vectors: np.ndarray
     energies: np.ndarray
-    labels: list[MomentumIndex]
+    labels: np.ndarray
     sym_eigs: np.ndarray
 
     @property
@@ -201,32 +193,13 @@ def combination_matrices(
     return family.apply_h(sx), k2
 
 
-def phase_anchor(v: np.ndarray) -> int | np.ndarray:
-    """Index of the entry whose phase gets rotated away by :func:`fix_phase`.
-
-    The first entry, unless it is below ANCHOR_FLOOR/sqrt(dim); then the
-    first entry within ANCHOR_TIE_RTOL of the largest modulus. For a (dim, k)
-    block, one index per column.
-    """
-    v = np.asarray(v)
-    block = v.reshape(v.shape[0], -1)
-    anchor = np.zeros(block.shape[1], dtype=int)
-    tiny = np.flatnonzero(~(np.abs(block[0]) >= ANCHOR_FLOOR / math.sqrt(v.shape[0])))
-    if tiny.size:
-        modulus = np.abs(block[:, tiny])
-        near_largest = modulus >= (1.0 - ANCHOR_TIE_RTOL) * modulus.max(axis=0)
-        anchor[tiny] = np.argmax(near_largest, axis=0)
-    return int(anchor[0]) if v.ndim == 1 else anchor
-
-
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate the global phase of a unit vector, or of each column of a (dim, k)
-    block, so that its anchor entry is real positive.
+    block, so that its first entry is real positive.
 
-    The anchor is the first entry unless that is numerically zero, in which
-    case the first entry of (nearly) the largest modulus is used instead; see
-    :func:`phase_anchor`. An already-real-positive anchor leaves the column
-    unchanged.
+    A column whose first entry is already real positive is unchanged. Raises
+    ValueError naming the first column whose first entry is below
+    ANCHOR_FLOOR/sqrt(dim), zero included.
     """
     v = np.asarray(v, dtype=complex)
     block = v.reshape(v.shape[0], -1)
@@ -235,15 +208,17 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 def _phase_factors(block: np.ndarray) -> np.ndarray:
     """The unit factors by which :func:`fix_phase` rotates the columns of a block."""
-    anchors = phase_anchor(block)
-    a = block[anchors, np.arange(block.shape[1])]
-    zero = np.flatnonzero(a == 0)
-    if zero.size:
-        raise ValueError(f"column {zero[0]} is a zero vector and has no phase to fix")
-    fallbacks = np.count_nonzero(anchors)
-    if fallbacks:
-        logger.debug("phase anchor fell back to the largest entry in %d columns", fallbacks)
-    return a.conj() / np.abs(a)
+    a = block[0]
+    modulus = np.abs(a)
+    floor = ANCHOR_FLOOR / math.sqrt(block.shape[0])
+    tiny = np.flatnonzero(~(modulus >= floor))
+    if tiny.size:
+        j = tiny[0]
+        raise ValueError(
+            f"column {j}: first entry has modulus {modulus[j]:.3g}, below {floor:.3g}; "
+            "no phase to fix"
+        )
+    return a.conj() / modulus
 
 
 def momentum_labels(sym_eigs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -503,20 +478,21 @@ def _assemble(
     vectors: np.ndarray,
     hopping: np.ndarray,
     sym_eigs: np.ndarray,
-    labels: list[MomentumIndex],
+    codes: np.ndarray,
     family: CommutingFamily,
 ) -> SymBasis:
     """Phase-fix a complete set of simultaneous eigenvectors and give them their energies.
 
     The columns of ``vectors`` come in label order, with their hopping
     eigenvalues in ``hopping``, their (x, y) translation eigenvalues in
-    ``sym_eigs`` and their ``labels`` as computed by the caller; their phases
-    are fixed in place, as :func:`fix_phase` would fix them. Each energy is
-    alpha - t * hopping: alpha and t enter once, here, and never through the
-    rounding of H.
+    ``sym_eigs`` and their ascending label codes r*n + s in ``codes``; their
+    phases are fixed in place, as :func:`fix_phase` would fix them. Each
+    energy is alpha - t * hopping: alpha and t enter once, here, and never
+    through the rounding of H.
     """
     vectors *= _phase_factors(vectors)
     energies = family.spec.alpha - family.spec.t * hopping
+    labels = np.stack(np.divmod(codes, family.n), axis=1)
     return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
@@ -597,12 +573,11 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
         else:
             c = np.ascontiguousarray(coords[:k, g.cols].transpose(1, 0, 2))
             vectors[:, dest] = (g.q @ c.view(float)).view(complex).transpose(1, 0, 2)
-    labels = list(map(MomentumIndex, r[order].tolist(), s[order].tolist()))
     # Column j's hopping eigenvalue is sum_i |c_ij|^2 lambda_i over its block's
     # values lambda; the coordinate rows past a block's size are zero.
     block_values = values[np.minimum(first + np.arange(len(coords))[:, None], dim - 1)]
     hopping = np.add.reduce((coords.real**2 + coords.imag**2) * block_values, axis=0)
-    return _assemble(vectors, hopping[order], sym_eigs[order], labels, family)
+    return _assemble(vectors, hopping[order], sym_eigs[order], codes[order], family)
 
 
 def _normal_eigenbasis(k: np.ndarray) -> np.ndarray:
@@ -696,9 +671,8 @@ def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
             "spectrum for these parameters; use the refinement method"
         )
     keep = survivors[first]
-    labels = list(map(MomentumIndex, (codes // n).tolist(), (codes % n).tolist()))
     return _assemble(
-        candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], labels, family
+        candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], codes, family
     )
 
 
@@ -838,8 +812,7 @@ def verify_basis(
         raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
     # One memory layout whatever the caller's, so that no metric depends on it.
     v = np.ascontiguousarray(basis.vectors, dtype=complex)
-    labels = np.asarray(basis.labels, dtype=int).reshape(-1, 2)
-    codes = label_codes(spec, labels)
+    codes = label_codes(spec, basis.labels)
     energies = analytic_energies(spec)
     eig_err = float(np.abs(basis.energies - energies.ravel()[codes]).max())
     eigs = (basis.energies, basis.sym_eigs[:, 0], basis.sym_eigs[:, 1])
@@ -867,10 +840,11 @@ def verify_basis(
             power[own] = 0.0
             dropped[cols] = np.add.reduce(power, axis=0)
         if dim >= BULK_ORACLE_MIN_DIM:
-            exact = analytic_eigenvectors(spec, labels[cols])
+            exact = analytic_eigenvectors(spec, basis.labels[cols])
         else:
             exact = np.stack(
-                [analytic_eigenvector(spec, label) for label in basis.labels[cols]], axis=1
+                [analytic_eigenvector(spec, label) for label in basis.labels[cols].tolist()],
+                axis=1,
             )
         residuals = np.maximum(residuals, chunk_residuals)
         # Align each oracle vector's phase to its computed column.

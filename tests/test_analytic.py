@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tbbands.analytic import (
-    MomentumIndex,
     analytic_energies,
     analytic_eigenvalue,
     analytic_eigenvector,
@@ -24,7 +23,7 @@ REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)
 
 
 def all_indices(n):
-    return [MomentumIndex(r, s) for r in range(n) for s in range(n)]
+    return [(r, s) for r in range(n) for s in range(n)]
 
 
 @st.composite
@@ -37,13 +36,13 @@ def index_cases(draw):
 
 class TestEigenvalue:
     def test_zero_momentum_n4(self):
-        val = analytic_eigenvalue(LatticeSpec(4, 1.0, 0.2), MomentumIndex(0, 0))
+        val = analytic_eigenvalue(LatticeSpec(4, 1.0, 0.2), (0, 0))
         assert math.isclose(val, 0.2, abs_tol=1e-15)
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_band_top_at_half_n(self, n):
         spec = LatticeSpec(n, 1.0, 0.2)
-        val = analytic_eigenvalue(spec, MomentumIndex(n // 2, n // 2))
+        val = analytic_eigenvalue(spec, (n // 2, n // 2))
         assert math.isclose(val, spec.alpha + 4 * spec.t, abs_tol=1e-15)
 
     def test_extended_precision_value_n8(self):
@@ -52,28 +51,28 @@ class TestEigenvalue:
             want = mpmath.mpf(1) - mpmath.mpf("0.4") * mpmath.cos(mpmath.pi / 4) - mpmath.mpf("0.4")
             want = float(want)
         assert want == 0.31715728752538097
-        got = analytic_eigenvalue(REFERENCE_N8, MomentumIndex(1, 0))
+        got = analytic_eigenvalue(REFERENCE_N8, (1, 0))
         assert math.isclose(got, want, abs_tol=1e-15)
 
     def test_rejects_out_of_range_index(self):
         spec = LatticeSpec(4, 1.0, 0.2)
         for bad in [(4, 0), (0, 4), (-1, 0)]:
             with pytest.raises(ValueError):
-                analytic_eigenvalue(spec, MomentumIndex(*bad))
+                analytic_eigenvalue(spec, bad)
 
     @given(index_cases())
     def test_index_symmetries(self, case):
         n, r, s = case
         spec = LatticeSpec(n, 0.9, 0.35)
-        e = analytic_eigenvalue(spec, MomentumIndex(r, s))
+        e = analytic_eigenvalue(spec, (r, s))
         for other in [(s, r), ((n - r) % n, s), (r, (n - s) % n)]:
-            assert abs(e - analytic_eigenvalue(spec, MomentumIndex(*other))) <= 1e-15
+            assert abs(e - analytic_eigenvalue(spec, other)) <= 1e-15
 
     @given(index_cases())
     def test_spectrum_bounds(self, case):
         n, r, s = case
         spec = LatticeSpec(n, 0.4, -0.7)
-        e = analytic_eigenvalue(spec, MomentumIndex(r, s))
+        e = analytic_eigenvalue(spec, (r, s))
         slack = 4 * abs(spec.t) * 2**-50
         assert spec.alpha - 4 * abs(spec.t) - slack <= e <= spec.alpha + 4 * abs(spec.t) + slack
 
@@ -99,11 +98,11 @@ class TestEnergies:
 
 class TestEigenvector:
     def test_uniform_mode(self):
-        v = analytic_eigenvector(LatticeSpec(5, 1.0, 0.2), MomentumIndex(0, 0))
+        v = analytic_eigenvector(LatticeSpec(5, 1.0, 0.2), (0, 0))
         assert np.array_equal(v, np.full(25, 1 / 5, dtype=complex))
 
     def test_quarter_turn_entry_n4(self):
-        v = analytic_eigenvector(LatticeSpec(4, 1.0, 0.2), MomentumIndex(1, 0))
+        v = analytic_eigenvector(LatticeSpec(4, 1.0, 0.2), (1, 0))
         assert abs(v[4] - 0.25j) <= 1e-15  # p=1, q=0
 
     def test_first_entry_exactly_real(self):
@@ -116,13 +115,13 @@ class TestEigenvector:
         n, r, s = case
         steps = np.arange(n)
         want = np.kron(np.exp(2j * math.pi * r * steps / n), np.exp(2j * math.pi * s * steps / n)) / n
-        got = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), MomentumIndex(r, s))
+        got = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), (r, s))
         assert np.array_equal(got, want)
 
     @given(index_cases())
     def test_constant_modulus(self, case):
         n, r, s = case
-        v = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), MomentumIndex(r, s))
+        v = analytic_eigenvector(LatticeSpec(n, 1.0, 0.2), (r, s))
         assert np.abs(np.abs(v) - 1 / n).max() <= 1e-15
 
     def test_eigen_equation_all_indices_n5(self):
@@ -165,7 +164,7 @@ class TestEigenvectors:
 
     def test_takes_an_integer_array_of_labels(self):
         spec = LatticeSpec(6, 1.0, 0.2)
-        labels = [MomentumIndex(5, 0), MomentumIndex(2, 3)]
+        labels = [(5, 0), (2, 3)]
         want = analytic_eigenvectors(spec, labels)
         assert np.array_equal(analytic_eigenvectors(spec, np.array(labels)), want)
 
@@ -194,11 +193,11 @@ class TestDispersionPoint:
     def test_full_grid_n25(self):
         spec = LatticeSpec(25, 1.0, 0.2)
         band = analytic_dispersion(spec)
-        for j, idx in enumerate(all_indices(25)):
-            assert (band.r[j], band.s[j]) == idx
-            assert band.kx[j] == 2 * math.pi * idx.r / 25
-            assert band.ky[j] == 2 * math.pi * idx.s / 25
-            assert band.energy[j] == analytic_eigenvalue(spec, idx)
+        for j, (r, s) in enumerate(all_indices(25)):
+            assert (band.r[j], band.s[j]) == (r, s)
+            assert band.kx[j] == 2 * math.pi * r / 25
+            assert band.ky[j] == 2 * math.pi * s / 25
+            assert band.energy[j] == analytic_eigenvalue(spec, (r, s))
 
 
 class TestDegeneracyCensus:

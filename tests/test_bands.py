@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tbbands.analytic import MomentumIndex, analytic_eigenvalue, degeneracy_census
+from tbbands.analytic import analytic_eigenvalue, degeneracy_census
 from tbbands.bands import (
     analytic_dispersion,
     compare_to_analytic,
@@ -85,7 +85,7 @@ class TestComputeSpectrum:
         spectrum = compute_spectrum(spec)
         want = np.sort(
             [
-                analytic_eigenvalue(spec, MomentumIndex(r, s))
+                analytic_eigenvalue(spec, (r, s))
                 for r in range(6)
                 for s in range(6)
             ]
@@ -129,7 +129,7 @@ class TestAnalyticDispersion:
         spec = LatticeSpec(5, 0.4, 0.3)
         band = analytic_dispersion(spec)
         for r, s, kx, ky, energy in band.rows:
-            assert energy == analytic_eigenvalue(spec, MomentumIndex(r, s))
+            assert energy == analytic_eigenvalue(spec, (r, s))
             assert kx == 2 * math.pi * r / 5
             assert ky == 2 * math.pi * s / 5
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tbbands import cli
-from tbbands.analytic import MomentumIndex, analytic_eigenvector
+from tbbands.analytic import analytic_eigenvector
 from tbbands.bands import compute_basis, compute_spectrum
 from tbbands.model import LatticeSpec
 from tbbands.simdiag import VerificationReport
@@ -187,7 +187,7 @@ class TestVectorsWriter:
         assert out.read_bytes() == reference_vectors_csv(basis.vectors)
         assert cli.main(["analytic", *args, "--out", str(tmp_path / "a.csv"),
                          "--vectors", str(out)]) == 0
-        exact = np.stack([analytic_eigenvector(spec, MomentumIndex(r, s))
+        exact = np.stack([analytic_eigenvector(spec, (r, s))
                           for r in range(7) for s in range(7)], axis=1)
         assert out.read_bytes() == reference_vectors_csv(exact)
 
@@ -376,10 +376,15 @@ class TestUsage:
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--t", "-1e-6"), ("--alpha", "-2e+3")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--t", "-1e-6"), ("--alpha", "-2e+3")]
+        + [(prefix, "-2e+3") for prefix in ("--a", "--al", "--alp", "--alph")],
+    )
     def test_negative_value_in_exponent_notation(self, flag, value, capsys):
-        # argparse reads a token like -1e-6 as an option: "--t -1e-6" exited 2
-        # with "expected one argument", while "--t=-1e-6" worked.
+        # argparse reads a token like -1e-6 as an option: "--t -1e-6" and the
+        # abbreviated "--alph -2e+3" exited 2 with "expected one argument",
+        # while "--t=-1e-6" worked.
         assert cli.main(["bands", "--n", "4", flag, value]) == 0
         spaced = capsys.readouterr()
         assert cli.main(["bands", "--n", "4", f"{flag}={value}"]) == 0

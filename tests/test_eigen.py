@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbbands.analytic import MomentumIndex, analytic_eigenvalue
+from tbbands.analytic import analytic_eigenvalue
 from tbbands.eigen import (
     RESIDUAL_C,
     cluster_eigenvalues,
@@ -33,7 +33,7 @@ class TestEigHermitian:
         h = dense_h(spec)
         dec = eig_hermitian(h)
         want = sorted(
-            analytic_eigenvalue(spec, MomentumIndex(r, s))
+            analytic_eigenvalue(spec, (r, s))
             for r in range(4)
             for s in range(4)
         )
@@ -123,7 +123,7 @@ class TestClusterEigenvalues:
         spec = LatticeSpec(8, 1.0, 0.2)
         values = np.sort(
             [
-                analytic_eigenvalue(spec, MomentumIndex(r, s))
+                analytic_eigenvalue(spec, (r, s))
                 for r in range(8)
                 for s in range(8)
             ]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tbbands.analytic import (
-    MomentumIndex,
     analytic_eigenvalue,
     analytic_eigenvector,
     analytic_eigenvectors,
@@ -39,7 +38,6 @@ from tbbands.simdiag import (
     filter_simultaneous,
     fix_phase,
     momentum_labels,
-    phase_anchor,
     simultaneous_basis_combination,
     simultaneous_basis_refine,
     verify_basis,
@@ -49,14 +47,15 @@ from dense_reference import dense_h, dense_hopping, dense_operators, max_residua
 
 
 def all_indices(n):
-    return [MomentumIndex(r, s) for r in range(n) for s in range(n)]
+    return [(r, s) for r in range(n) for s in range(n)]
 
 
 def translation_eigs(n, idx):
     """Expected unit-circle eigenvalues of (x, y) translation on the analytic vector."""
+    r, s = idx
     return (
-        cmath.exp(-2j * math.pi * idx.s / n),
-        cmath.exp(-2j * math.pi * idx.r / n),
+        cmath.exp(-2j * math.pi * s / n),
+        cmath.exp(-2j * math.pi * r / n),
     )
 
 
@@ -71,8 +70,8 @@ def aligned_distance(a, b):
 def analytic_sym_basis(spec):
     """Exact simultaneous basis straight from the closed-form vectors."""
     family = build_family(spec)
-    labels = all_indices(spec.n)
-    vectors = np.stack([analytic_eigenvector(spec, lab) for lab in labels], axis=1)
+    labels = np.array(all_indices(spec.n))
+    vectors = np.stack([analytic_eigenvector(spec, lab) for lab in labels.tolist()], axis=1)
     energies = np.real(np.einsum("ij,ij->j", vectors.conj(), family.apply_h(vectors)))
     sym_eigs = np.stack(
         [
@@ -137,32 +136,38 @@ class TestFixPhase:
         assert np.array_equal(fix_phase(v), v)
 
     def test_analytic_vector_already_fixed(self):
-        v = analytic_eigenvector(LatticeSpec(5, 1.0, 0.2), MomentumIndex(2, 3))
+        v = analytic_eigenvector(LatticeSpec(5, 1.0, 0.2), (2, 3))
         assert np.array_equal(fix_phase(v), v)
 
-    def test_anchor_fallback_on_tiny_first_entry(self):
-        v = np.array([0.0, 1j, 0.0], dtype=complex)
-        assert phase_anchor(v) == 1
-        out = fix_phase(v)
-        assert out[1] == 1.0
+    def test_rejects_first_entry_below_floor(self):
+        # The phase is anchored at the first entry alone: a unit vector whose
+        # first entry is below ANCHOR_FLOOR/sqrt(dim) has no phase to fix.
+        for first in (0.0, 1e-9j, 0.9e-6 / math.sqrt(3)):
+            v = np.array([first, 1j, 0.0], dtype=complex)
+            v /= np.linalg.norm(v)
+            with pytest.raises(ValueError, match="column 0: first entry"):
+                fix_phase(v)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             fix_phase(np.zeros(4, dtype=complex))
 
-    def test_block_equals_column_by_column(self, caplog):
+    def test_block_equals_column_by_column(self):
         rng = np.random.default_rng(11)
         block = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        block[0, [1, 3]] = 1e-9  # two anchor fallbacks
-        with caplog.at_level("DEBUG", logger="tbbands.simdiag"):
-            out = fix_phase(block)
-        assert "in 2 columns" in caplog.text
-        assert list(phase_anchor(block)) == [phase_anchor(block[:, j]) for j in range(5)]
+        out = fix_phase(block)
         for j in range(5):
             assert np.array_equal(out[:, j], fix_phase(block[:, j]))
 
+    def test_block_names_first_column_below_floor(self):
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        block[0, [1, 3]] = 1e-9
+        with pytest.raises(ValueError, match="column 1: first entry"):
+            fix_phase(block)
+
     def test_block_names_zero_column(self):
-        block = np.eye(4, dtype=complex)
+        block = np.full((4, 4), 0.5, dtype=complex)
         block[:, 2] = 0.0
         with pytest.raises(ValueError, match="column 2"):
             fix_phase(block)
@@ -180,6 +185,10 @@ class TestFixPhase:
         if norm < 1e-3:
             return
         v = v / norm
+        if not abs(v[0]) >= simdiag.ANCHOR_FLOOR / math.sqrt(len(v)):
+            with pytest.raises(ValueError, match="column 0: first entry"):
+                fix_phase(v)
+            return
         once = fix_phase(v)
         twice = fix_phase(once)
         assert np.abs(twice - once).max() <= 1e-15
@@ -194,16 +203,15 @@ def translation_quotients(family, v):
 
 
 def labels_of(family, v):
-    r, s = momentum_labels(translation_quotients(family, v), family.n)
-    return list(map(MomentumIndex, r.tolist(), s.tolist()))
+    return np.stack(momentum_labels(translation_quotients(family, v), family.n), axis=1)
 
 
 class TestMomentumLabels:
     def test_uniform_vector_is_origin(self):
         spec = LatticeSpec(4, 1.0, 0.2)
         family = build_family(spec)
-        v = analytic_eigenvector(spec, MomentumIndex(0, 0))[:, None]
-        assert labels_of(family, v) == [MomentumIndex(0, 0)]
+        v = analytic_eigenvector(spec, (0, 0))[:, None]
+        assert np.array_equal(labels_of(family, v), [(0, 0)])
 
     def test_convention_regression_n4(self):
         # Pins the sign and axis assignment: the analytic vector at (r, s) must
@@ -218,13 +226,13 @@ class TestMomentumLabels:
             want_x, want_y = translation_eigs(4, idx)
             assert abs(lam_x - want_x) <= 1e-14
             assert abs(lam_y - want_y) <= 1e-14
-            assert labels_of(family, v[:, None]) == [idx]
+            assert np.array_equal(labels_of(family, v[:, None]), [idx])
 
     def test_full_analytic_basis_bijective(self):
         spec = LatticeSpec(5, 1.0, 0.2)
         family = build_family(spec)
         basis = np.stack([analytic_eigenvector(spec, idx) for idx in all_indices(5)], axis=1)
-        assert labels_of(family, basis) == all_indices(5)
+        assert np.array_equal(labels_of(family, basis), all_indices(5))
 
     def test_rejects_non_simultaneous_columns(self):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
@@ -255,7 +263,7 @@ class TestFilterSimultaneous:
     def test_accepts_analytic_vector(self):
         spec = LatticeSpec(4, 1.0, 0.2)
         family = build_family(spec)
-        idx = MomentumIndex(1, 2)
+        idx = (1, 2)
         accept, quotients = filter_simultaneous(analytic_eigenvector(spec, idx)[:, None], family)
         assert accept.tolist() == [True]
         hopping, sx_eig, sy_eig = quotients[0]
@@ -269,8 +277,8 @@ class TestFilterSimultaneous:
         # (1, 0) and (0, 1) share the energy but not the translation eigenvalues
         spec = LatticeSpec(4, 1.0, 0.2)
         family = build_family(spec)
-        a = analytic_eigenvector(spec, MomentumIndex(1, 0))
-        b = analytic_eigenvector(spec, MomentumIndex(0, 1))
+        a = analytic_eigenvector(spec, (1, 0))
+        b = analytic_eigenvector(spec, (0, 1))
         mixed = (a + b) / np.linalg.norm(a + b)
         accept, _ = filter_simultaneous(mixed[:, None], family)
         assert accept.tolist() == [False]
@@ -307,8 +315,8 @@ class TestFilterSimultaneous:
         # S_x and S_y tests alone reject the non-simultaneous ones
         spec = LatticeSpec(4, 1.0, 0.0)
         family = build_family(spec)
-        a = analytic_eigenvector(spec, MomentumIndex(1, 0))
-        b = analytic_eigenvector(spec, MomentumIndex(2, 3))
+        a = analytic_eigenvector(spec, (1, 0))
+        b = analytic_eigenvector(spec, (2, 3))
         e0 = np.eye(16, dtype=complex)[:, 0]
         block = np.stack([a, (a + b) / np.linalg.norm(a + b), e0], axis=1)
         applied = apply_hopping(block, 4)
@@ -406,7 +414,7 @@ class TestRefine:
         spec = LatticeSpec(3, 1.0, 0.2)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
-        assert basis.labels == all_indices(3)
+        assert np.array_equal(basis.labels, all_indices(3))
         for j, label in enumerate(basis.labels):
             exact = analytic_eigenvector(spec, label)
             assert aligned_distance(exact, basis.vectors[:, j]) <= 1e-10
@@ -415,7 +423,7 @@ class TestRefine:
         spec = LatticeSpec(4, 1.0, 0.0)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
-        assert basis.labels == all_indices(4)
+        assert np.array_equal(basis.labels, all_indices(4))
         assert np.abs(basis.energies - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -508,8 +516,8 @@ class TestRefine:
             got = simultaneous_basis_refine(build_family(spec))
             assert np.array_equal(got.vectors, want.vectors)
             assert np.array_equal(got.sym_eigs, want.sym_eigs)
-            assert got.labels == want.labels
-            exact = [analytic_eigenvalue(spec, label) for label in got.labels]
+            assert np.array_equal(got.labels, want.labels)
+            exact = [analytic_eigenvalue(spec, label) for label in got.labels.tolist()]
             assert np.abs(got.energies - exact).max() <= 1e-13
 
     @pytest.mark.parametrize(
@@ -592,7 +600,7 @@ class TestRefine:
         got = simultaneous_basis_refine(CommutingFamily(spec=spec))
         assert np.array_equal(got.vectors, want.vectors)
         assert np.array_equal(got.energies, want.energies)
-        assert got.labels == want.labels
+        assert np.array_equal(got.labels, want.labels)
         dense = FILTER_RTOL * np.linalg.norm(dense_h(spec))
         assert math.isclose(simdiag.default_filter_tol(family), dense, rel_tol=1e-15)
 
@@ -683,7 +691,8 @@ class TestCombinationMethod:
         family = build_family(spec)
         a = simultaneous_basis_refine(family)
         b = simultaneous_basis_combination(family)
-        assert a.labels == b.labels == all_indices(n)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.labels, all_indices(n))
         for j in range(n * n):
             assert aligned_distance(b.vectors[:, j], a.vectors[:, j]) <= 1e-9
 
@@ -698,6 +707,22 @@ class TestCombinationMethod:
         family = build_family(LatticeSpec(4, 1.0, 0.0))
         with pytest.raises(CandidateDeficitError, match="deficit"):
             simultaneous_basis_combination(family)
+
+
+@pytest.mark.parametrize(
+    "solve,n",
+    [(simultaneous_basis_refine, n) for n in range(3, 17)]
+    + [(simultaneous_basis_combination, n) for n in (3, 5, 8)],
+)
+def test_labels_are_the_grid_and_phases_anchor_at_site_0(solve, n):
+    # Both solvers return the plane waves in lexicographic (r, s) order, every
+    # entry of modulus 1/n, so the first entry always carries the phase.
+    basis = solve(build_family(LatticeSpec(n, 1.3, -0.7)))
+    assert isinstance(basis.labels, np.ndarray) and basis.labels.dtype.kind == "i"
+    assert basis.labels.shape == (n * n, 2)
+    assert np.array_equal(basis.labels, np.stack(np.divmod(np.arange(n * n), n), axis=1))
+    assert np.abs(n * np.abs(basis.vectors[0]) - 1.0).max() <= 1e-11
+    assert (basis.vectors[0].real > 0).all()
 
 
 class TestVerifyBasis:
@@ -736,7 +761,7 @@ class TestVerifyBasis:
         scrambled = SymBasis(
             vectors=basis.vectors[:, perm],
             energies=basis.energies[perm],
-            labels=[basis.labels[j] for j in perm],
+            labels=basis.labels[perm],
             sym_eigs=basis.sym_eigs[perm],
         )
         assert verify_basis(scrambled, family, spec) == verify_basis(basis, family, spec)
@@ -828,8 +853,8 @@ class TestVerifyBasis:
         spec = LatticeSpec(n, 1.0, 0.2)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
-        labels = list(basis.labels)
-        labels[1] = MomentumIndex(*bad)
+        labels = basis.labels.copy()
+        labels[1] = bad
         with pytest.raises(ValueError, match=rf"momentum index \({bad[0]}, {bad[1]}\) out of range"):
             verify_basis(replace(basis, labels=labels), family, spec)
 
@@ -922,9 +947,9 @@ class TestFourierOrthogonality:
         a = next(
             j for j in range(basis.dim - 1) if basis.energies[j + 1] - basis.energies[j] < 1e-12
         )
-        labels = list(basis.labels)
+        labels = basis.labels.copy()
         if damage == "swapped":
-            labels[a], labels[a + 1] = labels[a + 1], labels[a]
+            labels[[a, a + 1]] = labels[[a + 1, a]]
             damaged = replace(basis, labels=labels)
         elif damage == "duplicated":
             labels[a + 1] = labels[a]
@@ -947,7 +972,7 @@ class TestFourierOrthogonality:
         family, basis = analytic_sym_basis(spec)
         v = basis.vectors.copy()
         v[:, 0], v[:, 1] = v[:, 1], 0.5 * v[:, 1]
-        labels = list(basis.labels)
+        labels = basis.labels.copy()
         labels[1] = labels[0]
         report = verify_basis(replace(basis, vectors=v, labels=labels), family, spec)
         assert len(gram_calls) == 1
@@ -1055,9 +1080,9 @@ class TestPlaneWaveResiduals:
         spec = LatticeSpec(21, -0.4, 0.9)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
-        labels = list(basis.labels)
+        labels = basis.labels.copy()
         if damage == "swapped":
-            labels[5], labels[40] = labels[40], labels[5]
+            labels[[5, 40]] = labels[[40, 5]]
         else:
             labels[5] = labels[40]
         want = self.report_residuals(verify_basis(basis, family, spec))
