@@ -17,6 +17,8 @@ from .model import LatticeSpec
 
 def _check_index(spec: LatticeSpec, idx) -> None:
     r, s = idx
+    if not (float(r).is_integer() and float(s).is_integer()):
+        raise ValueError(f"momentum index {tuple(idx)} is not integral")
     if not (0 <= r < spec.n and 0 <= s < spec.n):
         raise ValueError(f"momentum index {tuple(idx)} out of range for n={spec.n}")
 
@@ -61,17 +63,17 @@ def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
 
 
 def label_codes(spec: LatticeSpec, labels) -> np.ndarray:
-    """Flat indices r*n + s of a sequence of index pairs or a (k, 2) integer array.
+    """Flat indices r*n + s of a sequence of index pairs or a (k, 2) array.
 
     They index the raveled :func:`analytic_energies` grid and the rows of the
     2-D DFT of a basis on the site grid. Raises ValueError naming the first
-    label out of range.
+    label that is not integral (NaN and inf included) or out of range.
     """
-    idx = np.asarray(labels, dtype=int).reshape(-1, 2)
-    bad = np.flatnonzero(((idx < 0) | (idx >= spec.n)).any(axis=1))
+    idx = np.asarray(labels, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~((idx == np.round(idx)) & (idx >= 0) & (idx < spec.n)).all(axis=1))
     if bad.size:
-        _check_index(spec, tuple(idx[bad[0]].tolist()))
-    return idx[:, 0] * spec.n + idx[:, 1]
+        _check_index(spec, [int(x) if x.is_integer() else x for x in idx[bad[0]].tolist()])
+    return (idx[:, 0] * spec.n + idx[:, 1]).astype(int)
 
 
 def analytic_eigenvector(spec: LatticeSpec, idx) -> np.ndarray:

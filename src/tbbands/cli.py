@@ -15,6 +15,7 @@ cannot be written, 2 usage error, 3 verification threshold breach.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -203,6 +204,9 @@ def _join_parameter_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_parameter_values(sys.argv[1:] if argv is None else argv))
+    paths = [os.path.abspath(p) for p in (args.out, getattr(args, "vectors", None)) if p]
+    if len(paths) == 2 and paths[0] == paths[1]:
+        parser.error(f"--out and --vectors name the same file: {args.out}")
     try:
         spec = LatticeSpec(n=args.n, alpha=args.alpha, t=args.t)
     except ValueError as exc:

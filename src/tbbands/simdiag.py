@@ -50,7 +50,6 @@ and a momentum label recovered from its translation eigenvalues by
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -379,37 +378,37 @@ def sector_eigh(n: int) -> EigenDecomposition:
     return EigenDecomposition(values=values[order], vectors=columns.reshape(dim, dim).T)
 
 
+def _block_sizes(starts: np.ndarray, dim: int, min_size: int = 1):
+    """(k, cols) for each block size k >= min_size, ascending, of the partition of
+    [0, dim) into blocks opening at ``starts``; cols (m, k) holds its blocks' columns."""
+    sizes = np.diff(starts, append=dim)
+    for k in np.unique(sizes[sizes >= min_size]).tolist():
+        yield k, starts[sizes == k, None] + np.arange(k)
+
+
 def _refine_within_blocks(
-    vectors: np.ndarray,
-    blocks: list[range],
-    apply_operator,
-    gap_tol: float,
-) -> list[range]:
+    vectors: np.ndarray, starts: np.ndarray, applied: np.ndarray, gap_tol: float
+) -> np.ndarray:
     """Diagonalize the projection of one Hermitian operator inside each block.
 
-    ``apply_operator`` maps a (dim, k) block of columns to the operator times
-    it; it is applied once to all columns. The blocks of each size k > 1 are
-    gathered into an (m, dim, k) stack, projected, decomposed by one stacked
+    ``starts`` holds the first column of each block, ascending; ``applied`` is
+    the operator times ``vectors``. The blocks of each size k > 1 are gathered
+    into an (m, dim, k) stack, projected, decomposed by one stacked
     :func:`eig_hermitian` call and rotated back into their own columns of
-    ``vectors``, in place. Blocks of size one are left untouched. Returns the
-    refined block partition, in column order.
+    ``vectors``, in place; blocks of size one are left untouched. Returns the
+    refined starts: a block splits where its eigenvalues are gap_tol apart.
     """
-    applied = apply_operator(vectors)
-    sizes = np.array([len(b) for b in blocks])
-    starts = np.array([b.start for b in blocks])
     # new_block[j]: column j opens a block of the refined partition
     new_block = np.zeros(vectors.shape[1], dtype=bool)
     new_block[starts] = True
-    for k in np.unique(sizes[sizes > 1]).tolist():
-        cols = starts[sizes == k, None] + np.arange(k)
+    for k, cols in _block_sizes(starts, vectors.shape[1], min_size=2):
         stack = vectors[:, cols].transpose(1, 0, 2)
         projected = stack.conj().transpose(0, 2, 1) @ applied[:, cols].transpose(1, 0, 2)
         projected = (projected + projected.conj().transpose(0, 2, 1)) / 2.0
         sub = eig_hermitian(projected)
         vectors[:, cols] = (stack @ sub.vectors).transpose(1, 0, 2)
         new_block[cols[:, 1:]] = np.diff(sub.values, axis=1) > gap_tol
-    edges = np.append(np.flatnonzero(new_block), vectors.shape[1]).tolist()
-    return [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return np.flatnonzero(new_block)
 
 
 def _stage(translation: np.ndarray, n: int) -> np.ndarray:
@@ -425,37 +424,6 @@ def _stage(translation: np.ndarray, n: int) -> np.ndarray:
     """
     rotation = 0.5 * cmath.exp(0.5j * math.pi / n)
     return rotation * translation + rotation.conjugate() * np.swapaxes(translation, -1, -2)
-
-
-@dataclass(frozen=True, eq=False)
-class _BlockGroup:
-    """The blocks of one size k, in the real eigenvectors Q of the hopping operator.
-
-    ``cols`` (m, k) holds each block's columns; ``q`` (m, dim, k) their
-    columns of Q; ``projected`` (2, m, k, k) the projections Q_b^T S Q_b of
-    S_x and of S_y.
-    """
-
-    cols: np.ndarray
-    q: np.ndarray
-    projected: np.ndarray
-
-
-def _block_groups(q: np.ndarray, blocks: list[range], n: int) -> list[_BlockGroup]:
-    """Gather the blocks of each size from Q and project both translations onto them."""
-    # (S Q)[i] = Q[p[i]] for the site permutation p of each translation.
-    sites = np.arange(q.shape[0])
-    perms = np.stack([translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
-    sizes = np.array([len(b) for b in blocks])
-    starts = np.array([b.start for b in blocks])
-    groups = []
-    for k in np.unique(sizes).tolist():
-        cols = starts[sizes == k, None] + np.arange(k)
-        gathered = q[:, cols]
-        qb = gathered.transpose(1, 0, 2)
-        shifted = gathered[perms].transpose(0, 2, 1, 3)
-        groups.append(_BlockGroup(cols=cols, q=qb, projected=qb.transpose(0, 2, 1) @ shifted))
-    return groups
 
 
 def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
@@ -475,24 +443,20 @@ def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
 
 
 def _assemble(
-    vectors: np.ndarray,
-    hopping: np.ndarray,
-    sym_eigs: np.ndarray,
-    codes: np.ndarray,
-    family: CommutingFamily,
+    vectors: np.ndarray, hopping: np.ndarray, sym_eigs: np.ndarray, family: CommutingFamily
 ) -> SymBasis:
     """Phase-fix a complete set of simultaneous eigenvectors and give them their energies.
 
-    The columns of ``vectors`` come in label order, with their hopping
-    eigenvalues in ``hopping``, their (x, y) translation eigenvalues in
-    ``sym_eigs`` and their ascending label codes r*n + s in ``codes``; their
-    phases are fixed in place, as :func:`fix_phase` would fix them. Each
-    energy is alpha - t * hopping: alpha and t enter once, here, and never
-    through the rounding of H.
+    The columns of ``vectors`` come in label order, column j labelled
+    (r, s) = divmod(j, n), with their hopping eigenvalues in ``hopping`` and
+    their (x, y) translation eigenvalues in ``sym_eigs``; their phases are
+    fixed in place, as :func:`fix_phase` would fix them.
+    Each energy is alpha - t * hopping: alpha and t enter once, here, and
+    never through the rounding of H.
     """
     vectors *= _phase_factors(vectors)
     energies = family.spec.alpha - family.spec.t * hopping
-    labels = np.stack(np.divmod(codes, family.n), axis=1)
+    labels = np.stack(np.divmod(np.arange(family.dim), family.n), axis=1)
     return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
@@ -510,7 +474,8 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
     phi = pi/(2n), whose eigenvalue fixes the x-translation eigenvalue;
     (3) inside remaining sub-clusters the same for S_y. Both stages cluster
-    with STAGE_GAP_TOL. After the eigensolve of A every stage works in the
+    with STAGE_GAP_TOL; the partition is carried as ``starts``, each block's
+    first column. After the eigensolve of A every stage works in the
     blocks' own coordinates: S_x and S_y are projected once onto each block of
     A's real eigenvectors Q, the stages are (k, k) Hermitian
     eigendecompositions of those projections, one stacked call per block size,
@@ -529,28 +494,35 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     n, dim = family.n, family.dim
     base = sector_eigh(n)
     values = base.values
-    blocks = cluster_eigenvalues(values, HOPPING_GAP_TOL).clusters
-    groups = _block_groups(base.vectors, blocks, n)
+    starts = np.array([c.start for c in cluster_eigenvalues(values, HOPPING_GAP_TOL).clusters])
+    # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
+    # S_y (2, m, k, k), through (S Q)[i] = Q[p[i]] for the site permutation p of each S.
+    sites = np.arange(dim)
+    perms = np.stack([translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
+    groups = []
+    for k, cols in _block_sizes(starts, dim):
+        gathered = base.vectors[:, cols]
+        q = gathered.transpose(1, 0, 2)
+        groups.append((k, cols, q, q.transpose(0, 2, 1) @ gathered[perms].transpose(0, 2, 1, 3)))
     # The groups hold their own copies of Q's columns: free Q before the basis.
     del base
     # Block j's coordinates in its own columns of Q start as the identity.
-    sizes = [len(b) for b in blocks]
-    first = np.repeat([b.start for b in blocks], sizes)
-    coords = np.zeros((max(sizes), dim), dtype=complex)
-    coords[np.arange(dim) - first, np.arange(dim)] = 1.0
-    stages = [(g.cols, _stage(g.projected, n)) for g in groups if g.cols.shape[1] > 1]
+    sizes = np.diff(starts, append=dim)
+    first = np.repeat(starts, sizes)
+    coords = np.zeros((sizes.max(), dim), dtype=complex)
+    coords[sites - first, sites] = 1.0
+    stages = [(cols, _stage(projected, n)) for k, cols, _, projected in groups if k > 1]
     for axis in (0, 1):
-        parts = [(cols, stage[axis]) for cols, stage in stages]
-        blocks = _refine_within_blocks(
-            coords, blocks, functools.partial(_apply_within_blocks, parts=parts), STAGE_GAP_TOL
-        )
-    stuck = [(b.start, b.stop) for b in blocks if len(b) > 1]
-    if stuck:
+        applied = _apply_within_blocks(coords, [(cols, stage[axis]) for cols, stage in stages])
+        starts = _refine_within_blocks(coords, starts, applied, STAGE_GAP_TOL)
+    if len(starts) < dim:
+        stops = np.append(starts[1:], dim).tolist()
+        stuck = [(a, b) for a, b in zip(starts.tolist(), stops) if b - a > 1]
         raise RefinementError(
             f"degeneracy unresolved after all refinement stages in column "
             f"blocks {stuck}; the family has an unexpected extra symmetry"
         )
-    applied = _apply_within_blocks(coords, [(g.cols, g.projected) for g in groups])
+    applied = _apply_within_blocks(coords, [(cols, projected) for _, cols, _, projected in groups])
     sym_eigs = _rayleigh_quotients(coords, applied).T
     r, s = momentum_labels(sym_eigs, n)
     codes = r * n + s
@@ -565,19 +537,18 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     position = np.empty_like(order)
     position[order] = np.arange(dim)
     vectors = np.empty((dim, dim), dtype=complex)
-    for g in groups:
-        k = g.cols.shape[1]
-        dest = position[g.cols]
+    for k, cols, q, _ in groups:
+        dest = position[cols]
         if k == 1:
-            vectors[:, dest[:, 0]] = g.q[:, :, 0].T
+            vectors[:, dest[:, 0]] = q[:, :, 0].T
         else:
-            c = np.ascontiguousarray(coords[:k, g.cols].transpose(1, 0, 2))
-            vectors[:, dest] = (g.q @ c.view(float)).view(complex).transpose(1, 0, 2)
+            c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))
+            vectors[:, dest] = (q @ c.view(float)).view(complex).transpose(1, 0, 2)
     # Column j's hopping eigenvalue is sum_i |c_ij|^2 lambda_i over its block's
     # values lambda; the coordinate rows past a block's size are zero.
     block_values = values[np.minimum(first + np.arange(len(coords))[:, None], dim - 1)]
     hopping = np.add.reduce((coords.real**2 + coords.imag**2) * block_values, axis=0)
-    return _assemble(vectors, hopping[order], sym_eigs[order], codes[order], family)
+    return _assemble(vectors, hopping[order], sym_eigs[order], family)
 
 
 def _normal_eigenbasis(k: np.ndarray) -> np.ndarray:
@@ -593,8 +564,9 @@ def _normal_eigenbasis(k: np.ndarray) -> np.ndarray:
     anti = (k - k.conj().T) * -0.5j
     base = eig_hermitian(herm)
     vectors = np.array(base.vectors, dtype=complex)
-    blocks = cluster_eigenvalues(base.values, default_gap_tol(herm)).clusters
-    _refine_within_blocks(vectors, blocks, lambda v: anti @ v, default_gap_tol(anti))
+    clusters = cluster_eigenvalues(base.values, default_gap_tol(herm)).clusters
+    starts = np.array([c.start for c in clusters])
+    _refine_within_blocks(vectors, starts, anti @ vectors, default_gap_tol(anti))
     return vectors
 
 
@@ -618,7 +590,7 @@ def filter_simultaneous(
     """
     filter_tol = default_filter_tol(family)
     screens = (
-        (functools.partial(apply_hopping, n=family.n), abs(family.spec.t)),
+        (lambda v: apply_hopping(v, family.n), abs(family.spec.t)),
         (family.apply_sx, 1.0),
         (family.apply_sy, 1.0),
     )
@@ -671,9 +643,7 @@ def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
             "spectrum for these parameters; use the refinement method"
         )
     keep = survivors[first]
-    return _assemble(
-        candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], codes, family
-    )
+    return _assemble(candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], family)
 
 
 def _squared_moduli(a: np.ndarray) -> np.ndarray:
@@ -805,11 +775,14 @@ def verify_basis(
     product (:func:`~tbbands.analytic.analytic_eigenvectors`), below it from
     one :func:`~tbbands.analytic.analytic_eigenvector` call per column; both
     give the same bits. The maxima propagate NaN: a NaN entry in the basis
-    gives NaN residuals, orthogonality defect and entrywise error.
+    gives NaN residuals, orthogonality defect and entrywise error. Raises
+    ValueError naming the first field whose shape does not fit the family.
     """
     n, dim = family.n, family.dim
-    if basis.dim != dim:
-        raise ValueError(f"basis has {basis.dim} columns, expected {dim}")
+    shapes = {"vectors": (dim, dim), "energies": (dim,), "labels": (dim, 2), "sym_eigs": (dim, 2)}
+    for name, want in shapes.items():
+        if np.shape(getattr(basis, name)) != want:
+            raise ValueError(f"basis {name} has shape {np.shape(getattr(basis, name))}, not {want}")
     # One memory layout whatever the caller's, so that no metric depends on it.
     v = np.ascontiguousarray(basis.vectors, dtype=complex)
     codes = label_codes(spec, basis.labels)

@@ -422,3 +422,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["analytic", "--n", "4", "--method", "refine"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bands", "verify", "analytic"])
+    def test_out_and_vectors_may_not_name_one_file(self, command, tmp_path, monkeypatch, capsys):
+        # the vector rows overwrote the band table; now refused before any solve
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "compute_basis", None)
+        for vectors in ("same.csv", str(tmp_path / "same.csv"), "./sub/../same.csv"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--n", "3", "--out", "same.csv", "--vectors", vectors])
+            assert exc.value.code == 2
+            assert "--out and --vectors name the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

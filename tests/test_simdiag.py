@@ -493,9 +493,9 @@ class TestRefine:
         engine = simdiag._refine_within_blocks
         partitions = []
 
-        def recorded(vectors, blocks, apply_operator, gap_tol):
-            refined = engine(vectors, blocks, apply_operator, gap_tol)
-            partitions.append((list(blocks), refined))
+        def recorded(vectors, starts, applied, gap_tol):
+            refined = engine(vectors, starts, applied, gap_tol)
+            partitions.append((starts.tolist(), refined.tolist()))
             return refined
 
         monkeypatch.setattr(simdiag, "_refine_within_blocks", recorded)
@@ -504,7 +504,32 @@ class TestRefine:
         partitions.clear()
         simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, 1.0)))
         assert at_zero == partitions
-        assert at_zero[-1][1] == [range(j, j + 1) for j in range(n * n)]
+        assert np.array_equal(at_zero[-1][1], np.arange(n * n))
+
+    def test_engine_splits_only_inside_input_blocks(self):
+        # Blocks [0, 3), [3, 5) and [5, 6) of a random unitary basis; the
+        # operator's spectra on the first two share the value 1, and the first
+        # holds 1 and 1 + 1e-12, closer than gap_tol, so a split may happen
+        # at the gap of 1 inside each block and nowhere else.
+        rng = np.random.default_rng(7)
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        inner = np.zeros((6, 6), dtype=complex)
+        for block, spectrum in ((slice(0, 3), [0.0, 1.0, 1.0 + 1e-12]), (slice(3, 5), [1.0, 2.0])):
+            u, _ = np.linalg.qr(rng.normal(size=(len(spectrum),) * 2))
+            inner[block, block] = (u * spectrum) @ u.T
+        inner[5, 5] = 1.0
+        # coupling between the blocks, which the projections never see
+        inner[0, 4] = inner[4, 0] = 0.3
+        operator = basis @ inner @ basis.conj().T
+        vectors = basis.copy()
+        refined = simdiag._refine_within_blocks(
+            vectors, np.array([0, 3, 5]), operator @ vectors, 1e-9
+        )
+        assert refined.tolist() == [0, 1, 3, 4, 5]
+        assert np.array_equal(vectors[:, 5], basis[:, 5])
+        values = np.einsum("ij,ij->j", vectors.conj(), operator @ vectors).real
+        assert np.allclose(values, [0.0, 1.0, 1.0, 1.0, 2.0, 1.0], atol=1e-12)
+        assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [5, 12])
     def test_basis_depends_on_n_alone(self, n):
@@ -685,7 +710,9 @@ class TestRefine:
 
 
 class TestCombinationMethod:
-    @pytest.mark.parametrize("n", [3, 4])
+    # at n = 6 the anti-Hermitian stage projects to pure rounding on some
+    # clusters, which the engine's hermitization must absorb
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_agrees_with_refine(self, n):
         spec = LatticeSpec(n, 1.0, 0.2)
         family = build_family(spec)
@@ -786,8 +813,14 @@ class TestVerifyBasis:
             labels=basis.labels[:5],
             sym_eigs=basis.sym_eigs[:5],
         )
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match=r"vectors has shape \(9, 5\)"):
             verify_basis(truncated, family, spec)
+        # one field at a time: a one-row sym_eigs once broadcast silently
+        for name in ("vectors", "energies", "labels", "sym_eigs"):
+            field = getattr(basis, name)
+            for wrong in (field[:, :-1] if name == "vectors" else field[:-1], field[:1]):
+                with pytest.raises(ValueError, match=f"basis {name} has shape"):
+                    verify_basis(replace(basis, **{name: wrong}), family, spec)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_real_orthogonality_defect_equals_complex_product(self, n):
@@ -848,14 +881,16 @@ class TestVerifyBasis:
         assert verify_basis(basis, family, spec) == want
 
     @pytest.mark.parametrize("n", [4, 20])
-    @pytest.mark.parametrize("bad", [(4, 20), (0, -1)])
+    @pytest.mark.parametrize("bad", [(4, 20), (0, -1), (1.7, 0.2)])
     def test_rejects_out_of_range_label(self, n, bad):
         spec = LatticeSpec(n, 1.0, 0.2)
         family = build_family(spec)
         basis = simultaneous_basis_refine(family)
-        labels = basis.labels.copy()
+        # a float copy of the labels for the label that is not integral
+        labels = basis.labels.astype(type(bad[0]))
         labels[1] = bad
-        with pytest.raises(ValueError, match=rf"momentum index \({bad[0]}, {bad[1]}\) out of range"):
+        problem = "is not integral" if isinstance(bad[0], float) else "out of range"
+        with pytest.raises(ValueError, match=rf"momentum index \({bad[0]}, {bad[1]}\) {problem}"):
             verify_basis(replace(basis, labels=labels), family, spec)
 
     def test_computed_basis_unit_circle_sym_eigs(self):
