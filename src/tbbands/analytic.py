@@ -59,7 +59,7 @@ def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
     """
     r, s = np.divmod(label_codes(spec, labels), spec.n)
     ring = _ring_modes(spec.n, np.arange(spec.n)[:, None])
-    return _plane_waves(ring[r], ring[s]).reshape(-1, spec.dim).T
+    return _plane_waves(ring[r].T, ring[s].T).reshape(spec.dim, -1)
 
 
 def label_codes(spec: LatticeSpec, labels) -> np.ndarray:
@@ -89,17 +89,18 @@ def _ring_modes(n: int, k) -> np.ndarray:
 
 
 def _plane_waves(block_phase: np.ndarray, site_phase: np.ndarray) -> np.ndarray:
-    """The plane waves on the (n, n) site grid of (..., n) ring modes in p and in q.
+    """The plane waves on the (n, n) site grid of (n, ...) ring modes in p and in q.
 
     The one formula behind both oracle functions, so a column is bit-identical
-    whether it is formed alone or in a block. The product is scaled by 1/n in
-    place, on its real and imaginary parts: numpy divides a complex by n as a
-    product with 1/n, so this gives the bits of ``/ n`` for every entry
-    without a -0.0 part, which no plane wave has.
+    whether it is formed alone or in a block; a block comes out on the
+    (n, n, k) grid, C-contiguous. The product is scaled by 1/n in place, on
+    its real and imaginary parts: numpy divides a complex by n as a product
+    with 1/n, so this gives the bits of ``/ n`` for every entry without a
+    -0.0 part, which no plane wave has.
     """
-    waves = block_phase[..., :, None] * site_phase[..., None, :]
+    waves = np.multiply(block_phase[:, None], site_phase[None, :], order="C")
     parts = waves.view(float)
-    parts *= 1.0 / block_phase.shape[-1]
+    parts *= 1.0 / block_phase.shape[0]
     return waves
 
 

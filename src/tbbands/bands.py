@@ -95,8 +95,8 @@ def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
     """Eigenvalues of the Hamiltonian, ascending (no momentum labels needed).
 
     The eigenvalues alpha - t lambda of H = alpha I - t A, from the same
-    reflection-parity sector eigensolve of the hopping operator A that the
-    refine method starts from.
+    symmetry-block eigensolve of the hopping operator A (``sector_eigh``)
+    that the refine method starts from.
     """
     hopping = sector_eigh(build_family(spec).n).values
     return np.sort(spec.alpha - spec.t * hopping)

@@ -76,12 +76,13 @@ def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
 
     The entries repeat: a momentum eigenvector is a phase times the plane wave
     e^{2 pi i (r p + s q)/n} / n, so a column holds only O(n) distinct values,
-    and the solver keeps many of them bit-identical (the lift of the C4v
-    blocks writes entries as exact +-sqrt(1/2) copies, and oe's vectors are
-    eo's with the site grid transposed). Each distinct bit pattern is
-    therefore rendered once with ``%.17g``, the text of :func:`_fmt` (bits,
-    not values, so -0.0 stays "-0"), and the file is written _CHUNK_LINES
-    lines at a time from that table.
+    and the solver keeps many of them bit-identical (each column of the
+    symmetry blocks holds exact copies and negations of an entry at the
+    site's reflection and half-shift images, and each mirror block's vectors
+    are its partner's with the site grid transposed). Each distinct bit
+    pattern is therefore rendered once with ``%.17g``, the text of
+    :func:`_fmt` (bits, not values, so -0.0 stays "-0"), and the file is
+    written _CHUNK_LINES lines at a time from that table.
     """
     rows = np.ascontiguousarray(vectors.T, dtype=complex).view(float)
     bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)

@@ -59,9 +59,11 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix or a (..., k, k) stack of them.
 
     Each matrix must be Hermitian to within ``HERMITICITY_RTOL * ||a||_F`` of
-    its own norm; it is then symmetrized as (A + A*)/2 before the LAPACK call,
-    so every decomposed matrix is exactly Hermitian. A stack is decomposed in
-    one call, with the same result as decomposing its matrices one by one.
+    its own norm; unless the whole input is exactly Hermitian, it is then
+    symmetrized as (A + A*)/2 before the LAPACK call, so every decomposed
+    matrix is exactly Hermitian (for an exactly Hermitian matrix (A + A*)/2
+    is A, so skipping it changes no bit). A stack is decomposed in one call,
+    with the same result as decomposing its matrices one by one.
     Deterministic for identical input.
 
     Raises
@@ -77,15 +79,18 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     adjoint = a.conj().swapaxes(-1, -2)
-    defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
-    bad = np.flatnonzero(defect > HERMITICITY_RTOL * np.linalg.norm(a, axis=(-2, -1)))
-    if bad.size:
-        where = "" if a.ndim == 2 else f" {bad[0]} of the stack (flat index)"
-        raise ValueError(
-            f"matrix{where} is not Hermitian: defect {defect.flat[bad[0]]:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * ||A||_F"
-        )
-    values, vectors = np.linalg.eigh((a + adjoint) / 2.0)
+    gap = a - adjoint
+    if gap.any():
+        defect = np.linalg.norm(gap, axis=(-2, -1))
+        bad = np.flatnonzero(defect > HERMITICITY_RTOL * np.linalg.norm(a, axis=(-2, -1)))
+        if bad.size:
+            where = "" if a.ndim == 2 else f" {bad[0]} of the stack (flat index)"
+            raise ValueError(
+                f"matrix{where} is not Hermitian: defect {defect.flat[bad[0]]:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * ||A||_F"
+            )
+        a = (a + adjoint) / 2.0
+    values, vectors = np.linalg.eigh(a)
     return EigenDecomposition(values=values, vectors=vectors)
 
 

@@ -9,12 +9,16 @@ exactly, without matrices, as shifts on the grid. A depends on n alone, so
 its eigenvectors are H's for every (alpha, t), and the parameters only set
 the energies. The lattice's point group C4v commutes with A too: the site
 reflections q -> -q and p -> -p, and the diagonal swap (p, q) -> (q, p).
-:func:`parity_factors` gives the ring's reflection-even and reflection-odd
-columns, whose Kronecker products split the sites into four parity sectors
-that A maps into themselves; the swap maps sector eo onto oe and splits ee
-and oo in halves, so the one dense eigensolve runs as five C4v blocks of
-about a quarter or an eighth of the dimension (``simdiag.sector_eigh``). The
-norm of H has the closed form :func:`hamiltonian_norm`.
+At even n so do the half-shifts q -> q + n/2 and p -> p + n/2, which commute
+with the reflections and which the swap exchanges. :func:`parity_factors`
+gives the ring's reflection-even and reflection-odd columns, and
+:func:`ring_factors` splits each of them by the half-shift at even n. The
+Kronecker products of two ring factors split the sites into sectors that A
+maps into themselves; the swap maps F (x) G onto G (x) F and splits each
+F (x) F in halves, so the one dense eigensolve runs as blocks of about a
+quarter or an eighth of the dimension at odd n, and a sixteenth or a
+thirty-second at even n (``simdiag.sector_eigh``). The norm of H has the
+closed form :func:`hamiltonian_norm`.
 """
 
 from __future__ import annotations
@@ -128,6 +132,39 @@ def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     odd[j, j - 1] = math.sqrt(0.5)
     odd[n - j, j - 1] = -math.sqrt(0.5)
     return even, odd
+
+
+def ring_factors(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The ring's columns of definite reflection and half-shift parity, and the latter.
+
+    At odd n these are :func:`parity_factors`, with half-shift parity 0: there
+    is no half-shift. At even n the half-shift T: j -> j + n/2 commutes with
+    the reflection R (TR = RT^-1 = RT) and with the ring hopping, and splits
+    each parity factor into a T-even and a T-odd half. The four factors, in
+    the order (R, T) = (+, +), (+, -), (-, +), (-, -), hold the columns
+    e_j + rho e_{-j} + tau e_{j+n/2} + rho tau e_{n/2-j} for 0 <= j <= n/4,
+    normalized, that do not vanish; every entry is exactly 0, +-1/2 or
+    +-sqrt(1/2). Returns the factors with at least one column, and their
+    half-shift parities tau (+1 or -1, or 0 at odd n). Side by side they form
+    an orthogonal matrix, and the ring hopping P + P^T couples no two of them.
+    """
+    if n % 2:
+        return list(parity_factors(n)), np.zeros(2, dtype=int)
+    # Row f of raw sums, with factor f's signs, the unit vectors at the images
+    # j, -j, n/2 + j and n/2 - j of each representative j; coinciding images
+    # add, so a column's entries are integers of one modulus, 1 or 2, and the
+    # scales sqrt(1/4) = 1/2 and sqrt(1/8) = sqrt(1/2)/2 are exact.
+    half, last = n // 2, n // 4 + 1
+    j = np.arange(last)
+    images = (np.array([[1], [-1], [1], [-1]]) * j + np.array([[0], [0], [half], [half]])) % n
+    signs = np.array([[1.0, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+    raw = (signs @ (images[:, None] == np.arange(n)[:, None]).reshape(4, -1)).reshape(4, n, last)
+    raw *= np.sqrt(1.0 / np.maximum(np.square(raw).sum(axis=1), 1.0))[:, None]
+    # The columns that vanish: j = 0 for rho = -1, and j = n/4 for rho tau = -1.
+    cut = int(n % 4 == 0)
+    factors = [raw[0], raw[1, :, : last - cut], raw[2, :, 1 : last - cut], raw[3, :, 1:]]
+    keep = [f for f in range(4) if factors[f].shape[1]]
+    return [factors[f] for f in keep], np.array([1, -1, 1, -1])[keep]
 
 
 @dataclass(frozen=True, eq=False)

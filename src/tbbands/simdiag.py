@@ -19,18 +19,25 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   Every tolerance is a constant of the operator it clusters, and the block
   partition depends on n alone.
 
-  A itself is diagonalized by :func:`sector_eigh`, in five blocks of the
-  point group C4v of the square lattice: the site reflections q -> -q and
-  p -> -p split the sites into four parity sectors ee, eo, oe and oo, and the
-  diagonal swap (p, q) -> (q, p) maps eo onto oe and splits ee and oo each
-  into a swap-even and a swap-odd half. All of them commute with A, so the
-  dense eigensolve of dim runs as five of about dim/4 or dim/8, and oe's
-  eigenpairs are eo's. The point group does not commute with the
-  translations, so a symmetry-adapted eigenvector carries no momentum: each
-  block's solver still returns an arbitrary basis inside its degenerate
-  subspaces (the (r, s) and (s, r) modes, say), and a cluster of A spans
-  several blocks. Every momentum label still comes from the translation
-  stages.
+  A itself is diagonalized by :func:`sector_eigh`, in the blocks of its
+  explicit lattice symmetries: the site reflections q -> -q and p -> -p,
+  at even n the half-shifts q -> q + n/2 and p -> p + n/2, and the
+  diagonal swap (p, q) -> (q, p). The reflections, and the half-shifts at
+  even n, split each ring into factors (two at odd n, four at even n); A
+  maps each product of two ring factors into itself, as the Kronecker sum of
+  the two rings' hoppings, and the swap maps F (x) G onto G (x) F and splits
+  each F (x) F into a swap-even and a swap-odd half. So the dense eigensolve
+  of dim runs as blocks of about dim/4 and dim/8 at odd n (five blocks) and
+  dim/16 and dim/32 at even n (at most fourteen), and each mirror
+  G (x) F takes F (x) G's eigenpairs. The reflections and the swap do not
+  commute with the translations, so a symmetry-adapted eigenvector carries
+  no momentum: each block's solver still returns an arbitrary basis inside
+  its degenerate subspaces (the (r, s) and (s, r) modes, say), and a cluster
+  of A spans several blocks. A half-shift parity is the parity of a
+  momentum component, but it is used only to sum the projections of S_x and
+  S_y over a quarter of the lattice (the fundamental domain of the two
+  half-shifts, weighted by the columns' parities); every momentum label
+  still comes from the translation stages.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
@@ -50,6 +57,7 @@ and a momentum label recovered from its translation eigenvalues by
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -69,7 +77,7 @@ from .model import (
     LatticeSpec,
     apply_hopping,
     hamiltonian_norm,
-    parity_factors,
+    ring_factors,
     translate,
 )
 
@@ -295,87 +303,135 @@ def _swap_fold(full: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
     return plus, (cols[upper] - cols[lower]) * root
 
 
-def _swap_unfold(vectors: np.ndarray, pairs, sign: float) -> np.ndarray:
-    """The (m^2, k) coordinates over F (x) F of one half's (k', k) vectors.
+def _swap_unfold(plus: np.ndarray, minus: np.ndarray, pairs) -> np.ndarray:
+    """The (m^2, k+ + k-) coordinates over F (x) F of both halves' vectors.
 
-    ``sign`` is +1 for the swap-even half and -1 for the swap-odd one, with
-    rows in the column order of :func:`_swap_fold`.
+    ``plus`` and ``minus`` are the swap-even and swap-odd halves' vectors,
+    with rows in the column order of :func:`_swap_fold`; the plus columns
+    come first.
     """
     diag, upper, lower = pairs
     root = math.sqrt(0.5)
-    coords = np.zeros((len(diag) ** 2, vectors.shape[1]))
-    if sign > 0:
-        coords[diag] = vectors[: len(diag)]
-        vectors = vectors[len(diag) :]
-    coords[upper] = vectors * root
-    coords[lower] = vectors * (sign * root)
+    k = plus.shape[1]
+    coords = np.zeros((len(diag) ** 2, k + minus.shape[1]))
+    coords[diag, :k] = plus[: len(diag)]
+    coords[upper, :k] = coords[lower, :k] = plus[len(diag) :] * root
+    coords[upper, k:] = minus * root
+    coords[lower, k:] = -coords[upper, k:]
     return coords
 
 
-def sector_eigh(n: int) -> EigenDecomposition:
-    """Eigendecomposition of the hopping operator A through the five C4v blocks.
+@dataclass(frozen=True, eq=False)
+class SectorEigh(EigenDecomposition):
+    """An eigendecomposition of A whose columns have definite half-shift parities.
+
+    ``half_shifts[j]`` holds column j's parities (+1 or -1) under the
+    half-shifts q -> q + n/2 and p -> p + n/2, in the (x, y) order of
+    ``SymBasis.sym_eigs``; both are 0 at odd n, where there is no half-shift.
+    """
+
+    half_shifts: np.ndarray
+
+
+def _kronecker_sum(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """a (x) I + I (x) b, over the coordinates (i, j) at row i * len(b) + j.
+
+    One broadcast, given an identity at least as large as a and b: every
+    entry is one entry of a or b, or the sum of two diagonal ones.
+    """
+    ma, mb = len(a), len(b)
+    total = a[:, None, :, None] * eye[:mb, None, :mb] + eye[:ma, None, :ma, None] * b[:, None]
+    return total.reshape(ma * mb, -1)
+
+
+def sector_eigh(n: int) -> SectorEigh:
+    """Eigendecomposition of the hopping operator A through its symmetry blocks.
 
     A, the sum of the four unit neighbour shifts of the n x n lattice
     (:func:`~tbbands.model.apply_hopping`), depends on n alone; its
-    eigenvectors are those of H = alpha I - t A for every alpha and t. With E
-    and O the ring's even and odd parity columns
-    (:func:`~tbbands.model.parity_factors`), A maps the span of each parity
-    sector's columns F (x) G, F and G each E or O, into itself. The diagonal
-    swap (p, q) -> (q, p) commutes with A too: it maps sector eo onto oe, and
-    splits ee and oo each into a swap-even (+) and a swap-odd (-) half. The
-    five blocks ee+, ee-, eo, oo+ and oo- are decomposed, one stacked
-    :func:`eig_hermitian` call per distinct block size (ee- and oo+ share one
-    size at odd n). The ee, eo and oo blocks P^T A P are formed matrix-free,
-    ``apply_hopping`` on P folded with F^T and G^T on the (n, n, m) site grid,
-    and the halves are folded from ee and oo (:func:`_swap_fold`). Sector oe
-    takes eo's values, bit for bit, and eo's vectors with the site grid
-    transposed. The values are merged by one stable sort and each block's
-    lifted vectors are written straight into its sorted columns. Returns
-    ascending values and real orthonormal (dim, dim) vectors, column-major, as
-    a dense eigensolve of the whole A would, in a different basis inside each
-    degenerate eigenspace.
+    eigenvectors are those of H = alpha I - t A for every alpha and t. With
+    F_f the ring factors of :func:`~tbbands.model.ring_factors` (the
+    reflection-even and -odd columns at odd n, each split by the half-shift
+    at even n), A maps the span of each product F_f (x) F_g, F_f on the block
+    index p and F_g on the in-block index q, into itself, and acts there as
+    the Kronecker sum h_f (x) I + I (x) h_g of the ring hoppings
+    h_f = F_f^T (P + P^T) F_f (:func:`_kronecker_sum`). The diagonal swap
+    (p, q) -> (q, p) commutes with A too: it maps F_f (x) F_g onto
+    F_g (x) F_f, and splits each F_f (x) F_f into a swap-even (+) and a
+    swap-odd (-) half (:func:`_swap_fold`). So the blocks are F_f (x) F_g for
+    f < g, whose mirror takes its values bit for bit and its vectors with the
+    site grid transposed, and the two halves of each F_f (x) F_f: five blocks
+    at odd n, at most fourteen at even n. They are decomposed with one
+    stacked :func:`eig_hermitian` call per distinct block size, the values
+    are merged by one stable sort, and each block's lifted vectors are
+    written straight into its sorted columns. Returns ascending values, real
+    orthonormal (dim, dim) vectors, column-major, as a dense eigensolve of
+    the whole A would, in a different basis inside each degenerate
+    eigenspace, and each column's half-shift parities, those of its block's
+    factors. No h_f is decomposed on its own: its eigenvectors would be the
+    ring's cosine and sine modes, the oracle's.
     """
     dim = n * n
-    even, odd = parity_factors(n)
-
-    def block(a, b):
-        ma, mb = a.shape[1], b.shape[1]
-        cols = (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, ma * mb)
-        applied = apply_hopping(cols, n).reshape(n, n * ma * mb)
-        return (b.T @ (a.T @ applied).reshape(ma, n, ma * mb)).reshape(ma * mb, ma * mb)
-
-    # Each block: its matrix, its sector's factors F and G, and for a swap
-    # half the arguments of _swap_unfold that give its coordinates over F (x) G.
-    blocks = [(block(even, odd), even, odd, None)]
-    for f in (even, odd):
-        pairs = _swap_pairs(f.shape[1])
-        for half, sign in zip(_swap_fold(block(f, f), pairs), (1.0, -1.0)):
-            blocks.append((half, f, f, (pairs, sign)))
-    blocks = [b for b in blocks if b[0].size]
-    sizes = [len(b[0]) for b in blocks]
-    solved = [None] * len(blocks)
-    for k in sorted(set(sizes)):
+    factors, taus = ring_factors(n)
+    # F_f^T P F_f for every f at once: P couples no two factors.
+    ring = np.hstack(factors)
+    hop = ring.T @ ring[np.arange(-1, n - 1)]
+    hop += hop.T
+    bounds = list(itertools.accumulate([f.shape[1] for f in factors], initial=0))
+    hops = [hop[a:b, a:b] for a, b in zip(bounds, bounds[1:])]
+    eye = np.eye(max(map(len, hops)))
+    # The factor pairs f <= g, each with its blocks: F_f (x) F_g, or for f = g
+    # the halves of _swap_fold and the index sets that fold them.
+    pairs = [(f, g) for f in range(len(factors)) for g in range(f, len(factors))]
+    swaps = [_swap_pairs(len(h)) for h in hops]
+    blocks = []
+    for f, g in pairs:
+        kron = _kronecker_sum(hops[f], hops[g], eye)
+        blocks += _swap_fold(kron, swaps[f]) if f == g else [kron]
+    sizes = [len(b) for b in blocks]
+    solved = [(np.zeros(0), np.zeros((0, 0)))] * len(blocks)
+    for k in sorted(set(sizes) - {0}):
         members = [i for i, size in enumerate(sizes) if size == k]
-        sub = eig_hermitian(np.stack([blocks[i][0] for i in members]))
+        sub = eig_hermitian(np.stack([blocks[i] for i in members]))
         for i, values, vectors in zip(members, sub.values, sub.vectors):
             solved[i] = (values, vectors)
-    # eo's vectors, transposed on the site grid, are oe's; its values repeat.
-    values = np.concatenate([v for v, _ in solved] + [solved[0][0]])
+    # Per pair: its values and its coordinates over F_f (x) F_g.
+    solved = iter(solved)
+    sectors = []
+    for f, g in pairs:
+        if f == g:
+            (plus, u), (minus, w) = next(solved), next(solved)
+            sectors.append((np.concatenate([plus, minus]), _swap_unfold(u, w, swaps[f])))
+        else:
+            sectors.append(next(solved))
+    # Each off-diagonal pair's vectors, transposed on the site grid, are its
+    # mirror's, and its values repeat there, after all the pairs'.
+    mirrored = [values for (f, g), (values, _) in zip(pairs, sectors) if f != g]
+    values = np.concatenate([v for v, _ in sectors] + mirrored)
     order = np.argsort(values, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(dim)
-    # Written column by column into the rows of the transpose, contiguously.
+    # Written column by column into the rows of the transpose, contiguously;
+    # a column's half-shift parities (x, y) are those of its factors on q and p.
     columns = np.empty((dim, n, n))
-    start = 0
-    for (_, a, b, swap), (_, v) in zip(blocks, solved):
-        m = v.shape[1]
-        coords = v if swap is None else _swap_unfold(v, *swap)
+    half_shifts = np.empty((dim, 2), dtype=int)
+    start, mirror = 0, dim - sum(map(len, mirrored))
+    for (f, g), (_, coords) in zip(pairs, sectors):
+        m = coords.shape[1]
+        a, b = factors[f], factors[g]
         lifted = b @ (a @ coords.reshape(a.shape[1], -1)).reshape(n, b.shape[1], m)
-        columns[position[start : start + m]] = lifted.transpose(2, 0, 1)
+        dest = position[start : start + m]
+        columns[dest] = lifted.transpose(2, 0, 1)
+        half_shifts[dest] = taus[g], taus[f]
         start += m
-        if swap is None:
-            columns[position[dim - m :]] = lifted.transpose(2, 1, 0)
-    return EigenDecomposition(values=values[order], vectors=columns.reshape(dim, dim).T)
+        if f != g:
+            dest = position[mirror : mirror + m]
+            columns[dest] = lifted.transpose(2, 1, 0)
+            half_shifts[dest] = taus[f], taus[g]
+            mirror += m
+    return SectorEigh(
+        values=values[order], vectors=columns.reshape(dim, dim).T, half_shifts=half_shifts
+    )
 
 
 def _block_sizes(starts: np.ndarray, dim: int, min_size: int = 1):
@@ -460,6 +516,40 @@ def _assemble(
     return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
+def _quarter_sites(n: int) -> np.ndarray:
+    """The sites of the fundamental domain p, q < n/2, and their images under
+    S_x and S_y, as a (3, sites) array: (S Q)[s] = Q[image of s]. At odd n,
+    where there is no half-shift, the domain is the whole lattice."""
+    half = n // 2 if n % 2 == 0 else n
+    sites = np.arange(n * n)
+    images = np.stack([sites, translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
+    return images.reshape(3, n, n)[:, :half, :half].reshape(3, -1)
+
+
+def _translation_projections(
+    columns: np.ndarray, characters: np.ndarray, quarter: np.ndarray
+) -> np.ndarray:
+    """Q_b^T S_x Q_b and Q_b^T S_y Q_b, (2, m, k, k), for m blocks of k columns.
+
+    ``columns`` is the (m, k, dim) stack of the blocks' columns of a
+    :class:`SectorEigh` and ``quarter`` is :func:`_quarter_sites`. The
+    translations commute with the half-shifts, so the summand
+    Q[s, i] (S Q)[s, j] at the image of site s under a half-shift g is
+    chi_i(g) chi_j(g) times the one at s, chi_i being column i's parities:
+    each projection is a sum over the fundamental domain, weighted by
+    sum_g chi_i(g) chi_j(g) = (1 + tau_i tau_j)(1 + sigma_i sigma_j) for the
+    x and y parities tau and sigma. ``characters`` holds each column's
+    chi(g) over the four g, (1, tau, sigma, tau sigma), as (m, k, 4), so the
+    weights are their inner products: 4 between columns of equal parities
+    and 0 between others, exact, and 1 at odd n, where the parities are 0.
+    The sums run along the sites, the contiguous axis.
+    """
+    rows = np.take(columns, quarter, axis=-1)
+    projections = rows[:, :, 0] @ rows[:, :, 1:].transpose(2, 0, 3, 1)
+    projections *= characters @ characters.transpose(0, 2, 1)
+    return projections
+
+
 def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     """Simultaneous eigenbasis by sequential subspace refinement.
 
@@ -468,7 +558,7 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     (:func:`_assemble`). The block partition, the tolerances and the rounding
     of the vectors are the same for every (alpha, t) at one n, t = 0 included.
 
-    Stages: (1) diagonalize the real A in its five C4v blocks
+    Stages: (1) diagonalize the real A in its symmetry blocks
     (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_GAP_TOL;
     (2) inside every degenerate cluster diagonalize the projection of the
     phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
@@ -477,13 +567,15 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     with STAGE_GAP_TOL; the partition is carried as ``starts``, each block's
     first column. After the eigensolve of A every stage works in the
     blocks' own coordinates: S_x and S_y are projected once onto each block of
-    A's real eigenvectors Q, the stages are (k, k) Hermitian
-    eigendecompositions of those projections, one stacked call per block size,
-    and the translation eigenvalues are quotients of the coordinates. The
-    complex basis, Q times the coordinates, is formed once at the end. Column
-    j's A eigenvalue is sum_i |c_ij|^2 lambda_i, over its final coordinates c
-    and its block's eigenvalues lambda, in O(dim k): A is never applied to
-    the basis.
+    A's real eigenvectors Q, as sums over the fundamental domain of the
+    half-shifts weighted by the columns' half-shift parities
+    (:func:`_translation_projections`; the whole lattice at odd n), the
+    stages are (k, k) Hermitian eigendecompositions of those projections,
+    one stacked call per block size, and the translation eigenvalues are
+    quotients of the coordinates. The complex basis, Q times the
+    coordinates, is formed once at the end. Column j's A eigenvalue is
+    sum_i |c_ij|^2 lambda_i, over its final coordinates c and its block's
+    eigenvalues lambda, in O(dim k): A is never applied to the basis.
 
     Raises
     ------
@@ -496,19 +588,22 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     values = base.values
     starts = np.array([c.start for c in cluster_eigenvalues(values, HOPPING_GAP_TOL).clusters])
     # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
-    # S_y (2, m, k, k), through (S Q)[i] = Q[p[i]] for the site permutation p of each S.
-    sites = np.arange(dim)
-    perms = np.stack([translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
+    # S_y (2, m, k, k), summed over a quarter of the sites.
+    quarter = _quarter_sites(n)
+    tau, sigma = base.half_shifts.T
+    characters = np.stack([np.ones(dim), tau, sigma, tau * sigma], axis=1)
     groups = []
     for k, cols in _block_sizes(starts, dim):
-        gathered = base.vectors[:, cols]
-        q = gathered.transpose(1, 0, 2)
-        groups.append((k, cols, q, q.transpose(0, 2, 1) @ gathered[perms].transpose(0, 2, 1, 3)))
+        # Q is column-major: its transpose's rows are its columns, contiguous.
+        columns = base.vectors.T[cols]
+        projected = _translation_projections(columns, characters[cols], quarter)
+        groups.append((k, cols, columns.transpose(0, 2, 1), projected))
     # The groups hold their own copies of Q's columns: free Q before the basis.
     del base
     # Block j's coordinates in its own columns of Q start as the identity.
     sizes = np.diff(starts, append=dim)
     first = np.repeat(starts, sizes)
+    sites = np.arange(dim)
     coords = np.zeros((sizes.max(), dim), dtype=complex)
     coords[sites - first, sites] = 1.0
     stages = [(cols, _stage(projected, n)) for k, cols, _, projected in groups if k > 1]

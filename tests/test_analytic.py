@@ -160,7 +160,7 @@ class TestEigenvectors:
         bulk = analytic_eigenvectors(spec, labels)
         assert bulk.shape == (n * n, n * n) and bulk.dtype == np.complex128
         single = np.stack([analytic_eigenvector(spec, idx) for idx in labels])
-        assert np.array_equal(bulk.T.view(np.uint64), single.view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(bulk.T).view(np.uint64), single.view(np.uint64))
 
     def test_takes_an_integer_array_of_labels(self):
         spec = LatticeSpec(6, 1.0, 0.2)

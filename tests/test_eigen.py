@@ -103,6 +103,22 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(stack)
 
+    def test_exactly_hermitian_input_is_decomposed_as_given(self):
+        # (A + A*)/2 is A for an exactly Hermitian A, so it is skipped; any
+        # other accepted input is decomposed as its Hermitian part
+        rng = np.random.default_rng(11)
+        raw = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        exact = raw + raw.conj().transpose(0, 2, 1)
+        for a in (exact, exact.real):
+            want = np.linalg.eigh(a)
+            got = eig_hermitian(a)
+            assert np.array_equal(got.values, want[0]) and np.array_equal(got.vectors, want[1])
+        near = exact.copy()
+        near[1, 0, 4] += 1e-15
+        want = np.linalg.eigh((near + near.conj().transpose(0, 2, 1)) / 2.0)
+        got = eig_hermitian(near)
+        assert np.array_equal(got.values, want[0]) and np.array_equal(got.vectors, want[1])
+
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.zeros((2, 3)))

@@ -19,6 +19,7 @@ from tbbands.model import (
     build_family,
     hamiltonian_norm,
     parity_factors,
+    ring_factors,
     translate,
 )
 
@@ -425,3 +426,47 @@ class TestParityFactors:
             for j, target in enumerate(sectors):
                 if i != j:
                     assert np.abs(target.T @ applied).max() <= bound
+
+
+class TestRingFactors:
+    @pytest.mark.parametrize("n", range(4, 91, 2))
+    def test_exact_orthonormal_factors_of_definite_parities(self, n):
+        # at even n the reflection and half-shift parity factors, built by
+        # index arithmetic; at n = 4 the reflection-odd, half-shift-even
+        # factor has no column
+        factors, taus = ring_factors(n)
+        assert len(factors) == len(taus) == (3 if n == 4 else 4)
+        ring = np.hstack(factors)
+        assert ring.shape == (n, n)
+        assert set(np.abs(ring).ravel().tolist()) <= {0.0, 0.5, math.sqrt(0.5)}
+        assert np.abs(ring.T @ ring - np.eye(n)).max() <= 4 * np.finfo(float).eps
+        mirror = (-np.arange(n)) % n
+        parities = set()
+        for f, tau in zip(factors, taus):
+            assert np.array_equal(np.roll(f, n // 2, axis=0), tau * f)
+            rho = 1 if np.array_equal(f[mirror], f) else -1
+            assert np.array_equal(f[mirror], rho * f)
+            parities.add((rho, int(tau)))
+        assert len(parities) == len(factors)
+
+    @pytest.mark.parametrize("n", range(4, 91, 2))
+    def test_ring_hopping_couples_no_two_factors(self, n):
+        # Each column's nonzero entries share one modulus, so F = sign(F) D
+        # with D a positive diagonal, and F_f^T (P + P^T) F_g is zero exactly
+        # when the integer product sign(F_f)^T (P + P^T) sign(F_g) is.
+        factors, _ = ring_factors(n)
+        signs = []
+        for f in factors:
+            moduli = np.abs(f)
+            assert np.all((moduli == 0) | (moduli == moduli.max(axis=0)))
+            signs.append(np.sign(f))
+        for i, left in enumerate(signs):
+            for j, right in enumerate(signs):
+                coupling = left.T @ (np.roll(right, 1, axis=0) + np.roll(right, -1, axis=0))
+                assert (i == j) or not coupling.any()
+
+    @pytest.mark.parametrize("n", range(3, 30, 2))
+    def test_odd_n_keeps_the_parity_factors(self, n):
+        factors, taus = ring_factors(n)
+        assert all(np.array_equal(f, g) for f, g in zip(factors, parity_factors(n)))
+        assert len(factors) == 2 and np.array_equal(taus, [0, 0])

@@ -19,11 +19,12 @@ from tbbands import simdiag
 from tbbands.eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
 from tbbands.model import (
     X_AXIS,
+    Y_AXIS,
     CommutingFamily,
     LatticeSpec,
     apply_hopping,
     build_family,
-    parity_factors,
+    ring_factors,
     translate,
 )
 from tbbands.simdiag import (
@@ -380,17 +381,46 @@ class TestSectorEigh:
             odd.append(is_odd)
         return odd[0], odd[1], grid.transpose(1, 0, 2).reshape(dim, dim)
 
+    @staticmethod
+    def half_shift_parities(n, got):
+        """Each column's parities (+1 or -1) under the half-shifts q -> q + n/2
+        and p -> p + n/2, as a (dim, 2) array, read off the vectors; 0 at odd n.
+        Every entry must equal its image exactly (a float comparison, so +0
+        matches -0), or its negation."""
+        dim = n * n
+        if n % 2:
+            return np.zeros((dim, 2), dtype=int)
+        grid = got.vectors.reshape(n, n, dim)
+        parities = []
+        for axis in (1, 0):
+            shifted = np.roll(grid, n // 2, axis=axis)
+            is_even = np.all(shifted == grid, axis=(0, 1))
+            is_odd = np.all(shifted == -grid, axis=(0, 1))
+            assert np.all(is_even ^ is_odd)
+            parities.append(np.where(is_even, 1, -1))
+        return np.stack(parities, axis=1)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
     def test_diagonal_sectors_split_into_swap_even_and_odd(self, n):
+        # the swap maps each product F_f (x) F_g of ring factors onto
+        # F_g (x) F_f; the diagonal products F_f (x) F_f are the columns of
+        # equal reflection parities and equal half-shift parities on the two
+        # axes, and each of their columns is swap-even or swap-odd
         got = simdiag.sector_eigh(n)
         odd_p, odd_q, swapped = self.swap_images(n, got)
-        diagonal = odd_p == odd_q
+        tau = self.half_shift_parities(n, got)
+        diagonal = (odd_p == odd_q) & (tau[:, 0] == tau[:, 1])
         plus = np.all(swapped == got.vectors, axis=0)
         minus = np.all(swapped == -got.vectors, axis=0)
         assert np.all((plus ^ minus)[diagonal])
-        me, mo = (m.shape[1] for m in parity_factors(n))
-        assert np.count_nonzero(plus & diagonal) == me * (me + 1) // 2 + mo * (mo + 1) // 2
-        assert np.count_nonzero(minus & diagonal) == me * (me - 1) // 2 + mo * (mo - 1) // 2
+        sizes = [f.shape[1] for f in ring_factors(n)[0]]
+        assert np.count_nonzero(plus & diagonal) == sum(m * (m + 1) // 2 for m in sizes)
+        assert np.count_nonzero(minus & diagonal) == sum(m * (m - 1) // 2 for m in sizes)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10, 16, 17, 30])
+    def test_columns_have_the_reported_half_shift_parities(self, n):
+        got = simdiag.sector_eigh(n)
+        assert np.array_equal(got.half_shifts, self.half_shift_parities(n, got))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
     def test_oe_is_eo_under_the_swap_bit_for_bit(self, n):
@@ -558,16 +588,18 @@ class TestRefine:
 
         monkeypatch.setattr(simdiag, "eig_hermitian", counted)
         simultaneous_basis_refine(family)
-        # the hopping operator in its five C4v blocks eo, ee+, ee-, oo+, oo-
-        # (oe is eo under the swap and is not solved), one stacked call per
-        # distinct block size, ascending: N - |eo| columns in all
-        me, mo = n // 2 + 1, (n - 1) // 2
-        blocks = [me * mo, me * (me + 1) // 2, me * (me - 1) // 2, mo * (mo + 1) // 2]
-        blocks = [k for k in blocks + [mo * (mo - 1) // 2] if k]
+        # the hopping operator in its symmetry blocks, over the ring factors
+        # F_f: F_f (x) F_g for f < g (its mirror F_g (x) F_f is not solved)
+        # and the swap-even and swap-odd halves of each F_f (x) F_f, one
+        # stacked call per distinct block size, ascending
+        factors = [f.shape[1] for f in ring_factors(n)[0]]
+        mirrored = [a * b for i, a in enumerate(factors) for b in factors[i + 1 :]]
+        blocks = mirrored + [m * (m + 1) // 2 for m in factors] + [m * (m - 1) // 2 for m in factors]
+        blocks = [k for k in blocks if k]
         distinct = sorted(set(blocks))
         sectors, stages = shapes[: len(distinct)], shapes[len(distinct) :]
         assert sectors == [(blocks.count(k), k, k) for k in distinct]
-        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n - me * mo
+        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n - sum(mirrored)
         sizes = [shape[-1] for shape in stages]
         assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
@@ -597,6 +629,27 @@ class TestRefine:
         for column, apply in ((0, family.apply_sx), (1, family.apply_sy)):
             quotients = simdiag._rayleigh_quotients(v, apply(v))
             assert np.abs(basis.sym_eigs[:, column] - quotients).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_quarter_domain_projections_equal_whole_lattice_sums(self, n):
+        # Q_b^T S Q_b from the fundamental domain p, q < n/2, weighted by the
+        # columns' half-shift parities, against the sum over every site of Q
+        # times its translate (np.roll), taken pairwise along the sites so
+        # that the reference itself errs by O(log(dim) eps); at odd n the
+        # domain is the whole lattice
+        base = simdiag.sector_eigh(n)
+        starts = np.array([c.start for c in cluster_eigenvalues(base.values, HOPPING_GAP_TOL).clusters])
+        quarter = simdiag._quarter_sites(n)
+        assert quarter.shape == (3, (n // 2 if n % 2 == 0 else n) ** 2)
+        tau, sigma = base.half_shifts.T
+        characters = np.stack([np.ones(n * n), tau, sigma, tau * sigma], axis=1)
+        for _, cols in simdiag._block_sizes(starts, n * n):
+            columns = base.vectors.T[cols]
+            got = simdiag._translation_projections(columns, characters[cols], quarter)
+            for projected, axis in zip(got, (X_AXIS, Y_AXIS)):
+                shifted = np.roll(columns.reshape(*cols.shape, n, n), 1, axis=axis - 2)
+                products = columns[:, :, None] * shifted.reshape(columns.shape)[:, None]
+                assert np.abs(projected - products.sum(axis=-1)).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "alpha,t",
