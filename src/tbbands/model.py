@@ -24,6 +24,7 @@ closed form :func:`hamiltonian_norm`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ Y_AXIS = 0
 class LatticeSpec:
     """Problem parameters: n sites per dimension, on-site energy alpha, hopping t.
 
-    The Hamiltonian acts on the n*n sites of the periodic lattice. n >= 3 is
-    required: for n = 2 the left and right neighbour of a site coincide and the
+    The Hamiltonian acts on the n*n sites of the periodic lattice. n must be
+    an integer (a numpy integer is stored as an int), and n >= 3 is required:
+    for n = 2 the left and right neighbour of a site coincide and the
     nearest-neighbour coupling pattern would double up, and n = 1 self-couples.
     |alpha| + 4|t|, the bound on every energy, must be a finite float, which
     also rules out a NaN or infinite alpha or t.
@@ -54,6 +56,10 @@ class LatticeSpec:
     t: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer (got {self.n!r})") from None
         if self.n < 3:
             raise ValueError(
                 f"n must be >= 3 (got {self.n}); below that the cyclic "
@@ -83,9 +89,17 @@ def translate(v: np.ndarray, n: int, axis: int, step: int) -> np.ndarray:
     """Shift a (dim,) vector or (dim, k) block ``step`` sites along a grid axis.
 
     With ``step`` = 1 this is the translation along ``axis`` (S_x for X_AXIS,
-    S_y for Y_AXIS); with ``step`` = -1 its transpose. Exact: entries only move.
+    S_y for Y_AXIS); with ``step`` = -1 its transpose. The entries move by two
+    wrap-around slice copies, as in :func:`apply_hopping`, into a buffer laid
+    out as ``np.roll``'s: the result is ``np.roll``'s, bit for bit.
     """
-    return np.roll(v.reshape(n, n, -1), step, axis=axis).reshape(v.shape)
+    g = v.reshape(n, n, -1)
+    shifted = np.empty_like(g)
+    s = step % n
+    dst, src = (shifted, g) if axis == Y_AXIS else (shifted.swapaxes(0, 1), g.swapaxes(0, 1))
+    dst[s:] = src[: n - s]
+    dst[:s] = src[n - s :]
+    return shifted.reshape(v.shape)
 
 
 def apply_hopping(v: np.ndarray, n: int) -> np.ndarray:
@@ -218,7 +232,13 @@ def build_family(spec: LatticeSpec) -> CommutingFamily:
     family = CommutingFamily(spec=spec)
     probe = np.arange(1.0, spec.dim + 1.0) / spec.dim
     h, sx, sy = family.apply_h, family.apply_sx, family.apply_sy
-    for name, a, b in (("[h, sx]", h, sx), ("[h, sy]", h, sy), ("[sx, sy]", sx, sy)):
-        if not np.array_equal(a(b(probe)), b(a(probe))):
+    # Each operator meets the probe once, then the six cross compositions.
+    hp, sxp, syp = h(probe), sx(probe), sy(probe)
+    for name, ab, ba in (
+        ("[h, sx]", h(sxp), sx(hp)),
+        ("[h, sy]", h(syp), sy(hp)),
+        ("[sx, sy]", sx(syp), sy(sxp)),
+    ):
+        if not np.array_equal(ab, ba):
             raise AssertionError(f"construction bug: commutator {name} is nonzero")
     return family

