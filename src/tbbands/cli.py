@@ -49,10 +49,19 @@ VERIFY_THRESHOLDS = {
 # Eigenvector lines per write: the file is never held whole in memory.
 _CHUNK_LINES = 64
 
+# The sign bit of a float64's bit pattern, and the rest of it: the magnitude.
+_SIGN_SHIFT = np.uint64(63)
+_MAGNITUDE_MASK = np.uint64(2**63 - 1)
 
-def _fmt(x: float) -> str:
-    """17 significant digits: enough for exact float round-trips."""
-    return format(float(x), ".17g")
+
+def _render(values) -> list[str]:
+    """Each float of ``values`` as ``%.17g`` text, in one batch.
+
+    17 significant digits are enough for exact float round-trips; the text is
+    format(x, ".17g"), so -0.0 is "-0" and every NaN is "nan".
+    """
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -65,41 +74,64 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 def _write_band_csv(path: str | None, band) -> None:
+    kx, ky, energy = (_render(x) for x in (band.kx, band.ky, band.energy))
     lines = ["r,s,kx,ky,energy"]
-    for r, s, kx, ky, energy in band.rows:
-        lines.append(f"{r},{s},{_fmt(kx)},{_fmt(ky)},{_fmt(energy)}")
+    for r, s, x, y, e in zip(band.r.tolist(), band.s.tolist(), kx, ky, energy):
+        lines.append(f"{r},{s},{x},{y},{e}")
     _write_lines(path, lines)
 
 
 def _write_vectors_csv(path: str, vectors: np.ndarray) -> None:
     """One eigenvector per line, entries as interleaved real,imag pairs.
 
-    The entries repeat: a momentum eigenvector is a phase times the plane wave
+    Line j is ``vectors[:, j]``. The solvers' layout, ``vectors.T``
+    C-contiguous, is read without a copy; any other is copied once into it.
+
+    A momentum eigenvector is a phase times the plane wave
     e^{2 pi i (r p + s q)/n} / n, so a column holds only O(n) distinct values,
-    and the solver keeps many of them bit-identical (each column of the
-    symmetry blocks holds exact copies and negations of an entry at the
+    and the solver keeps many of them bit-identical or negated (each column of
+    the symmetry blocks holds exact copies and negations of an entry at the
     site's reflection and half-shift images, and each mirror block's vectors
-    are its partner's with the site grid transposed). Each distinct bit
-    pattern is therefore rendered once with ``%.17g``, the text of
-    :func:`_fmt` (bits, not values, so -0.0 stays "-0"), and the file is
-    written _CHUNK_LINES lines at a time from that table.
+    are its partner's with the site grid transposed). One argsort of the
+    magnitudes, the bit patterns with the sign bit cleared, numbers the
+    distinct ones; each is rendered once by :func:`_render`, and field i of
+    the file is entry 2 id + sign of a table that holds each magnitude's text
+    and its "-"-prefixed text. A NaN is "nan" in both slots, as
+    ``'%.17g' % -nan`` is; bits, not values, keep -0.0 as "-0" and NaN
+    payloads apart. The file is written _CHUNK_LINES lines at a time.
     """
     rows = np.ascontiguousarray(vectors.T, dtype=complex).view(float)
-    bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
-    inverse = inverse.reshape(rows.shape)
-    rendered = ("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(",")
-    table = np.array(rendered[:-1], dtype=object)
+    bits = rows.view(np.uint64).ravel()
+    magnitudes = bits & _MAGNITUDE_MASK
+    order = np.argsort(magnitudes)
+    magnitudes = magnitudes[order]
+    opens = np.empty(len(magnitudes), dtype=bool)
+    opens[:1] = True
+    np.not_equal(magnitudes[1:], magnitudes[:-1], out=opens[1:])
+    distinct = magnitudes[opens].view(float)
+    del magnitudes
+    ids = np.cumsum(opens)
+    ids -= 1
+    del opens
+    index = np.empty_like(ids)
+    index[order] = ids
+    del order, ids
+    index <<= 1
+    index |= (bits >> _SIGN_SHIFT).view(np.intp)
+    index = index.reshape(rows.shape)
+    text = _render(distinct)
+    table = np.empty(2 * len(text), dtype=object)
+    table[0::2] = text
+    table[1::2] = [t if t == "nan" else "-" + t for t in text]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(rows), _CHUNK_LINES):
-            cells = table[inverse[start:start + _CHUNK_LINES]].tolist()
+            cells = table[index[start:start + _CHUNK_LINES]].tolist()
             fh.write("\n".join(map(",".join, cells)) + "\n")
 
 
 def cmd_spectrum(args: argparse.Namespace, spec: LatticeSpec) -> int:
-    lines = ["index,energy"]
-    for i, value in enumerate(compute_spectrum(spec)):
-        lines.append(f"{i},{_fmt(value)}")
-    _write_lines(args.out, lines)
+    energies = _render(compute_spectrum(spec))
+    _write_lines(args.out, ["index,energy"] + [f"{i},{e}" for i, e in enumerate(energies)])
     return EXIT_OK
 
 
@@ -115,7 +147,8 @@ def cmd_bands(args: argparse.Namespace, spec: LatticeSpec) -> int:
 def cmd_verify(args: argparse.Namespace, spec: LatticeSpec) -> int:
     family, basis = compute_basis(spec, args.method)
     report = verify_basis(basis, family, spec).as_dict()
-    _write_lines(args.out, [f"{key}={_fmt(value)}" for key, value in report.items()])
+    values = _render(list(report.values()))
+    _write_lines(args.out, [f"{key}={value}" for key, value in zip(report, values)])
     if args.vectors is not None:
         _write_vectors_csv(args.vectors, basis.vectors)
     breached = [key for key, value in report.items() if not value <= VERIFY_THRESHOLDS[key]]

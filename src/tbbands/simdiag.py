@@ -151,6 +151,11 @@ class SymBasis:
     Rayleigh quotient v_j* A v_j); ``labels`` a (dim, 2) integer array whose
     row j is the column's momentum index (r, s); ``sym_eigs[j]`` the pair of
     unit-modulus translation eigenvalues (x-translation, y-translation).
+
+    Both solvers lay the basis out one eigenvector per contiguous row:
+    ``vectors`` is the transpose of a C-ordered (dim, dim) array, so column j
+    is the contiguous ``vectors.T[j]``, and ``verify_basis`` and the CLI's
+    vector file read the eigenvectors in that order without a copy.
     """
 
     vectors: np.ndarray
@@ -499,21 +504,22 @@ def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
 
 
 def _assemble(
-    vectors: np.ndarray, hopping: np.ndarray, sym_eigs: np.ndarray, family: CommutingFamily
+    rows: np.ndarray, hopping: np.ndarray, sym_eigs: np.ndarray, family: CommutingFamily
 ) -> SymBasis:
     """Phase-fix a complete set of simultaneous eigenvectors and give them their energies.
 
-    The columns of ``vectors`` come in label order, column j labelled
-    (r, s) = divmod(j, n), with their hopping eigenvalues in ``hopping`` and
-    their (x, y) translation eigenvalues in ``sym_eigs``; their phases are
-    fixed in place, as :func:`fix_phase` would fix them.
+    ``rows`` holds one eigenvector per contiguous row, in label order, row j
+    labelled (r, s) = divmod(j, n), with their hopping eigenvalues in
+    ``hopping`` and their (x, y) translation eigenvalues in ``sym_eigs``;
+    their phases are fixed in place, row by row, as :func:`fix_phase` would
+    fix them as columns. The basis's ``vectors`` are ``rows.T``.
     Each energy is alpha - t * hopping: alpha and t enter once, here, and
     never through the rounding of H.
     """
-    vectors *= _phase_factors(vectors)
+    rows *= _phase_factors(rows.T)[:, None]
     energies = family.spec.alpha - family.spec.t * hopping
     labels = np.stack(np.divmod(np.arange(family.dim), family.n), axis=1)
-    return SymBasis(vectors=vectors, energies=energies, labels=labels, sym_eigs=sym_eigs)
+    return SymBasis(vectors=rows.T, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
 def _quarter_sites(n: int) -> np.ndarray:
@@ -627,23 +633,23 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
             f"momentum labels are not bijective: {collisions} collisions"
         )
     order = np.argsort(codes)
-    # The basis is written once, each column straight into its label's place;
-    # real Q times complex coordinates is one real product per block size.
+    # The basis is written once, each eigenvector straight into its label's
+    # row; real Q times complex coordinates is one real product per block size.
     position = np.empty_like(order)
     position[order] = np.arange(dim)
-    vectors = np.empty((dim, dim), dtype=complex)
+    rows = np.empty((dim, dim), dtype=complex)
     for k, cols, q, _ in groups:
         dest = position[cols]
         if k == 1:
-            vectors[:, dest[:, 0]] = q[:, :, 0].T
+            rows[dest[:, 0]] = q[:, :, 0]
         else:
             c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))
-            vectors[:, dest] = (q @ c.view(float)).view(complex).transpose(1, 0, 2)
+            rows[dest] = (q @ c.view(float)).view(complex).transpose(0, 2, 1)
     # Column j's hopping eigenvalue is sum_i |c_ij|^2 lambda_i over its block's
     # values lambda; the coordinate rows past a block's size are zero.
     block_values = values[np.minimum(first + np.arange(len(coords))[:, None], dim - 1)]
     hopping = np.add.reduce((coords.real**2 + coords.imag**2) * block_values, axis=0)
-    return _assemble(vectors, hopping[order], sym_eigs[order], family)
+    return _assemble(rows, hopping[order], sym_eigs[order], family)
 
 
 def _normal_eigenbasis(k: np.ndarray) -> np.ndarray:
@@ -738,7 +744,7 @@ def simultaneous_basis_combination(family: CommutingFamily) -> SymBasis:
             "spectrum for these parameters; use the refinement method"
         )
     keep = survivors[first]
-    return _assemble(candidates[:, keep], quotients[keep, 0].real, quotients[keep, 1:], family)
+    return _assemble(candidates.T[keep], quotients[keep, 0].real, quotients[keep, 1:], family)
 
 
 def _squared_moduli(a: np.ndarray) -> np.ndarray:
@@ -865,7 +871,11 @@ def verify_basis(
 
     The transform checks a basis against the oracle; the solver never uses
     it, and the benchmark's checker forms its residuals on the site grid,
-    independently of both. Every pass runs CHUNK columns at a time. From
+    independently of both. Every pass runs CHUNK columns at a time. The basis
+    is read one eigenvector per contiguous row, ``vectors.T`` (copied only
+    when the caller's layout differs from the solvers'), and each chunk of
+    rows is transformed as a (k, n, n) stack over its last two axes, then read
+    back as (dim, k) coefficients, so no metric depends on the layout. From
     BULK_ORACLE_MIN_DIM (n = 5) each chunk's oracle vectors come from one
     broadcast product (:func:`~tbbands.analytic.analytic_eigenvectors`); at
     n <= 4 from one :func:`~tbbands.analytic.analytic_eigenvector` call per
@@ -879,8 +889,9 @@ def verify_basis(
     for name, want in shapes.items():
         if np.shape(getattr(basis, name)) != want:
             raise ValueError(f"basis {name} has shape {np.shape(getattr(basis, name))}, not {want}")
-    # One memory layout whatever the caller's, so that no metric depends on it.
-    v = np.ascontiguousarray(basis.vectors, dtype=complex)
+    # One eigenvector per contiguous row whatever the caller's layout, so that
+    # no metric depends on it; the solvers' bases are already laid out so.
+    rows = np.ascontiguousarray(basis.vectors.T, dtype=complex)
     codes = label_codes(spec, basis.labels)
     energies = analytic_energies(spec)
     eig_err = float(np.abs(basis.energies - energies.ravel()[codes]).max())
@@ -894,9 +905,13 @@ def verify_basis(
         dropped = np.empty(dim)
     for start in range(0, dim, CHUNK):
         cols = slice(start, start + CHUNK)
-        chunk = v[:, cols]
-        grid = np.fft.fft2(chunk.reshape(n, n, -1), axes=(0, 1), norm="ortho")
-        coefficients = grid.reshape(dim, -1)
+        chunk = rows[cols]
+        # Each row's transform on its (n, n) site grid, read back as (dim, k)
+        # coefficients for the reductions below; the transform's own output
+        # is freed before the gathers.
+        grid = np.fft.fft2(chunk.reshape(-1, n, n), norm="ortho")
+        coefficients = np.ascontiguousarray(grid.reshape(-1, dim).T)
+        del grid
         own = (codes[cols], np.arange(coefficients.shape[1]))
         overlap = coefficients[own]
         if bijective:
@@ -919,14 +934,14 @@ def verify_basis(
         # Align each oracle vector's phase to its computed column.
         modulus = np.abs(overlap)
         exact *= np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
-        exact -= chunk
+        exact -= chunk.T
         entry_err = np.max([entry_err, np.abs(exact.real).max(), np.abs(exact.imag).max()])
     orth = None
     if bijective:
         orth = _fourier_orthogonality_defect(f, dropped)
         del f
     if orth is None:
-        orth = _orthogonality_defect(v)
+        orth = _orthogonality_defect(rows.T)
     return VerificationReport(
         *residuals.tolist(),
         max_orthogonality_defect=orth,

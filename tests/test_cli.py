@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tbbands import cli
 from tbbands.analytic import analytic_eigenvector
@@ -125,6 +128,26 @@ def reference_vectors_csv(vectors):
     return "".join(lines).encode("utf-8")
 
 
+# Bit patterns of float64 edge cases: +-0, subnormals, the largest finite,
+# +-inf, and NaNs of either sign with quiet, signalling and payload bits.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
+    0x7FF80000DEADBEEF, 0xFFF4000000C0FFEE, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF,
+]
+
+
+def vector_bits():
+    """(dim, 2 * lines) uint64 arrays, lines past one _CHUNK_LINES write."""
+    shapes = st.tuples(
+        st.integers(1, 3), st.integers(cli._CHUNK_LINES + 1, 2 * cli._CHUNK_LINES + 3)
+    ).map(lambda shape: (shape[0], 2 * shape[1]))
+    entries = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS))
+    return hnp.arrays(np.uint64, shapes, elements=entries)
+
+
 class TestVectorsWriter:
     def test_bytes_match_format_17g(self, tmp_path):
         special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, -1e16,
@@ -191,12 +214,29 @@ class TestVectorsWriter:
                           for r in range(7) for s in range(7)], axis=1)
         assert out.read_bytes() == reference_vectors_csv(exact)
 
+    @settings(max_examples=60, deadline=None)
+    @given(bits=vector_bits(), layout=st.sampled_from(["C", "F", "strided"]))
+    @example(
+        bits=np.resize(np.array(SPECIAL_BITS, dtype=np.uint64), (3, 2 * cli._CHUNK_LINES + 6)),
+        layout="F",
+    )
+    def test_any_bits_match_format_17g(self, bits, layout, tmp_path_factory):
+        vectors = bits.view(complex)
+        if layout == "F":
+            vectors = np.asfortranarray(vectors)
+        elif layout == "strided":
+            vectors = np.repeat(vectors, 2, axis=1)[:, ::2]
+        out = tmp_path_factory.mktemp("bits") / "vectors.csv"
+        cli._write_vectors_csv(str(out), vectors)
+        assert out.read_bytes() == reference_vectors_csv(vectors)
+
 
 class TestWriterAllocationBudget:
     # Traced peak allocation of one eigenvector-CSV write at n = 22. The
     # writer that held every line, their join and the encoded bytes at once
     # peaked at 32.5 MiB; rendering each distinct float once and writing in
-    # chunks peaks at 22.3 MiB.
+    # chunks peaks at 22.3 MiB; keying the table by magnitude, on the solvers'
+    # one-eigenvector-per-row layout, at 11.3 MiB.
     WRITER_MIB = 24
 
     def test_peak_at_n22(self, tmp_path):

@@ -805,6 +805,18 @@ def test_labels_are_the_grid_and_phases_anchor_at_site_0(solve, n):
     assert (basis.vectors[0].real > 0).all()
 
 
+@pytest.mark.parametrize(
+    "solve,n",
+    [(simultaneous_basis_refine, n) for n in (3, 4, 5, 8, 13)]
+    + [(simultaneous_basis_combination, n) for n in (3, 4, 5)],
+)
+def test_each_eigenvector_is_one_contiguous_row(solve, n):
+    # Both solvers lay the basis out one eigenvector per row, so that verify and
+    # the vector file read it in that order without a copy.
+    basis = solve(build_family(LatticeSpec(n, 1.3, -0.7)))
+    assert basis.vectors.T.flags.c_contiguous
+
+
 class TestVerifyBasis:
     @pytest.mark.parametrize("n", [4, 21])
     def test_nan_entry_is_not_read_as_zero(self, n):
@@ -846,16 +858,17 @@ class TestVerifyBasis:
         )
         assert verify_basis(scrambled, family, spec) == verify_basis(basis, family, spec)
 
-    def test_memory_order_does_not_change_metrics(self):
-        spec = LatticeSpec(4, 1.0, 0.2)
+    # n = 12 has dim 144, more than one CHUNK of columns; n = 22 several.
+    @pytest.mark.parametrize("n", [4, 12, 22])
+    def test_memory_order_does_not_change_metrics(self, n):
+        spec = LatticeSpec(n, 1.0, 0.2)
         family, basis = analytic_sym_basis(spec)
-        f_ordered = SymBasis(
-            vectors=np.asfortranarray(basis.vectors),
-            energies=basis.energies,
-            labels=basis.labels,
-            sym_eigs=basis.sym_eigs,
-        )
-        assert verify_basis(f_ordered, family, spec) == verify_basis(basis, family, spec)
+        strided = np.empty((n * n, 2 * n * n), dtype=complex)[:, ::2]
+        strided[...] = basis.vectors
+        layouts = [np.ascontiguousarray(basis.vectors), np.asfortranarray(basis.vectors), strided]
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        reports = [verify_basis(replace(basis, vectors=v), family, spec) for v in layouts]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_rejects_incomplete_basis(self):
         spec = LatticeSpec(3, 1.0, 0.2)
