@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -31,17 +30,6 @@ class BandData:
     kx: np.ndarray
     ky: np.ndarray
     energy: np.ndarray
-
-    @property
-    def rows(self) -> Iterator[tuple[int, int, float, float, float]]:
-        for j in range(self.r.shape[0]):
-            yield (
-                int(self.r[j]),
-                int(self.s[j]),
-                float(self.kx[j]),
-                float(self.ky[j]),
-                float(self.energy[j]),
-            )
 
 
 def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandData:

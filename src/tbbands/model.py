@@ -10,9 +10,9 @@ its eigenvectors are H's for every (alpha, t), and the parameters only set
 the energies. The lattice's point group C4v commutes with A too: the site
 reflections q -> -q and p -> -p, and the diagonal swap (p, q) -> (q, p).
 At even n so do the half-shifts q -> q + n/2 and p -> p + n/2, which commute
-with the reflections and which the swap exchanges. :func:`parity_factors`
-gives the ring's reflection-even and reflection-odd columns, and
-:func:`ring_factors` splits each of them by the half-shift at even n. The
+with the reflections and which the swap exchanges. :func:`ring_factors`
+gives the ring's columns of definite reflection parity and, at even n,
+half-shift parity: one factor per character of the group they generate. The
 Kronecker products of two ring factors split the sites into sectors that A
 maps into themselves; the swap maps F (x) G onto G (x) F and splits each
 F (x) F in halves, so the one dense eigensolve runs as blocks of about a
@@ -124,61 +124,41 @@ def apply_hopping(v: np.ndarray, n: int) -> np.ndarray:
     return hop.reshape(v.shape)
 
 
-def parity_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real orthonormal reflection-even and reflection-odd columns of the n-site ring.
-
-    The ring reflection j -> -j (mod n) maps e_j to e_{n-j}. The even columns
-    are e_0, (e_j + e_{n-j})/sqrt(2) for 0 < j < n/2, and e_{n/2} when n is
-    even, (n, n//2 + 1); the odd columns are (e_j - e_{n-j})/sqrt(2) for
-    0 < j < n/2, (n, (n-1)//2). Side by side they form an orthogonal matrix.
-    On the lattice the reflections q -> -q and p -> -p commute with the
-    hopping operator, so with F and G each one of the two factors, the
-    columns F (x) G of one parity sector span a subspace it maps into itself.
-    """
-    half = (n - 1) // 2
-    j = np.arange(1, half + 1)
-    even = np.zeros((n, n // 2 + 1))
-    odd = np.zeros((n, half))
-    even[0, 0] = 1.0
-    if n % 2 == 0:
-        even[n // 2, n // 2] = 1.0
-    even[j, j] = even[n - j, j] = math.sqrt(0.5)
-    odd[j, j - 1] = math.sqrt(0.5)
-    odd[n - j, j - 1] = -math.sqrt(0.5)
-    return even, odd
-
-
 def ring_factors(n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The ring's columns of definite reflection and half-shift parity, and the latter.
 
-    At odd n these are :func:`parity_factors`, with half-shift parity 0: there
-    is no half-shift. At even n the half-shift T: j -> j + n/2 commutes with
-    the reflection R (TR = RT^-1 = RT) and with the ring hopping, and splits
-    each parity factor into a T-even and a T-odd half. The four factors, in
-    the order (R, T) = (+, +), (+, -), (-, +), (-, -), hold the columns
-    e_j + rho e_{-j} + tau e_{j+n/2} + rho tau e_{n/2-j} for 0 <= j <= n/4,
-    normalized, that do not vanish; every entry is exactly 0, +-1/2 or
-    +-sqrt(1/2). Returns the factors with at least one column, and their
-    half-shift parities tau (+1 or -1, or 0 at odd n). Side by side they form
-    an orthogonal matrix, and the ring hopping P + P^T couples no two of them.
+    The reflection R: j -> -j and, at even n, the half-shift T: j -> j + n/2
+    commute (TR = RT^-1 = RT), as does the ring hopping P + P^T, and
+    generate a group G. Each factor is one character of G, in the order
+    (R, T) = (+, +), (+, -), (-, +), (-, -), or R = +, - at odd n: its columns
+    are the character-weighted sums of e_g(j) over g in G, normalized, for the
+    representatives 0 <= j <= n // |G|, except those that vanish. At odd n
+    they are e_0 and (e_j + e_{n-j})/sqrt(2), and (e_j - e_{n-j})/sqrt(2), for
+    0 < j < n/2; at even n every entry is exactly 0, +-1/2 or +-sqrt(1/2).
+    Returns the factors with at least one column, and their half-shift
+    parities tau (+1 or -1, or 0 at odd n: there is no half-shift). Side by
+    side they form an orthogonal matrix, and P + P^T couples no two of them.
     """
-    if n % 2:
-        return list(parity_factors(n)), np.zeros(2, dtype=int)
-    # Row f of raw sums, with factor f's signs, the unit vectors at the images
-    # j, -j, n/2 + j and n/2 - j of each representative j; coinciding images
-    # add, so a column's entries are integers of one modulus, 1 or 2, and the
-    # scales sqrt(1/4) = 1/2 and sqrt(1/8) = sqrt(1/2)/2 are exact.
-    half, last = n // 2, n // 4 + 1
-    j = np.arange(last)
-    images = (np.array([[1], [-1], [1], [-1]]) * j + np.array([[0], [0], [half], [half]])) % n
-    signs = np.array([[1.0, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
-    raw = (signs @ (images[:, None] == np.arange(n)[:, None]).reshape(4, -1)).reshape(4, n, last)
-    raw *= np.sqrt(1.0 / np.maximum(np.square(raw).sum(axis=1), 1.0))[:, None]
-    # The columns that vanish: j = 0 for rho = -1, and j = n/4 for rho tau = -1.
-    cut = int(n % 4 == 0)
-    factors = [raw[0], raw[1, :, : last - cut], raw[2, :, 1 : last - cut], raw[3, :, 1:]]
-    keep = [f for f in range(4) if factors[f].shape[1]]
-    return [factors[f] for f in keep], np.array([1, -1, 1, -1])[keep]
+    shifts, taus = ([0, n // 2], [1, -1]) if n % 2 == 0 else ([0], [0])
+    # R^a T^b maps j to (-1)^a j + b n/2, and has the character rho^a tau^b
+    # in the factor of parities (rho, tau); both orders take a (or rho) first.
+    m = len(shifts)
+    z2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    table = (z2[:, None, :, None] * z2[:m, None, :m]).reshape(2 * m, 2 * m)
+    reps = n // (2 * m) + 1
+    images = (np.array([[1], [-1]]) * np.arange(reps))[:, None] + np.array(shifts)[:, None]
+    hits = images.reshape(2 * m, 1, reps) % n == np.arange(n)[:, None]
+    # Coinciding images add, so a column's entries are integers of one modulus,
+    # and its scale is sqrt(1/2), 1/2 or sqrt(1/8) = sqrt(1/2)/2, exactly.
+    raw = (table @ hits.reshape(2 * m, -1)).reshape(2 * m, n, reps)
+    norms = np.square(raw).sum(axis=1)
+    raw *= np.sqrt(1.0 / np.maximum(norms, 1.0))[:, None]
+    # A column vanishes where an element fixing j has character -1: only at
+    # j = 0 (fixed by R) and j = n/4 (by RT), the first and last representatives.
+    ends = (norms[:, [0, -1]] == 0).tolist()
+    factors = [raw[f, :, first : reps - last] for f, (first, last) in enumerate(ends)]
+    keep = [f for f in range(2 * m) if factors[f].shape[1]]
+    return [factors[f] for f in keep], np.array(taus * 2)[keep]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,10 @@ no momentum label. The routines here resolve the ambiguity in two ways:
 * :func:`simultaneous_basis_refine` (default): H = alpha I - t A, with A the
   parameter-free hopping operator, so the basis is solved for A alone and
   alpha and t only set the energies, alpha - t lambda with lambda the A
-  eigenvalue. Diagonalize the real A, then within each degenerate cluster
-  diagonalize the projection of one phase-rotated Hermitian part of S_x, then
-  of S_y. Only Hermitian eigendecompositions are ever needed: the rotated part
+  eigenvalue. Diagonalize the real A, then within each cluster of its levels
+  (closer than HOPPING_MERGE_TOL) diagonalize the projection of one
+  phase-rotated Hermitian part of S_x, then of S_y. Only Hermitian
+  eigendecompositions are ever needed: the rotated part
   (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n) has n distinct
   eigenvalues, so one stage per axis pins each translation eigenvalue uniquely
   on the unit circle. S_x and S_y are projected once onto each cluster of A's
@@ -22,11 +23,11 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   A itself is diagonalized by :func:`sector_eigh`, in the blocks of its
   explicit lattice symmetries: the site reflections q -> -q and p -> -p,
   at even n the half-shifts q -> q + n/2 and p -> p + n/2, and the
-  diagonal swap (p, q) -> (q, p). The reflections, and the half-shifts at
-  even n, split each ring into factors (two at odd n, four at even n); A
-  maps each product of two ring factors into itself, as the Kronecker sum of
-  the two rings' hoppings, and the swap maps F (x) G onto G (x) F and splits
-  each F (x) F into a swap-even and a swap-odd half. So the dense eigensolve
+  diagonal swap (p, q) -> (q, p). The characters of the reflections, and of
+  the half-shifts at even n, split each ring into factors (two at odd n,
+  four at even n); A maps each product of two ring factors into itself, as
+  the Kronecker sum of the two rings' hoppings, and the swap maps F (x) G onto
+  G (x) F and splits each F (x) F into a swap-even and a swap-odd half. So the dense eigensolve
   of dim runs as blocks of about dim/4 and dim/8 at odd n (five blocks) and
   dim/16 and dim/32 at even n (at most fourteen), and each mirror
   G (x) F takes F (x) G's eigenpairs. The reflections and the swap do not
@@ -102,10 +103,14 @@ UNIT_CIRCLE_TOL = 1e-8
 # 1/2 per row).
 STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
 
-# Gap tolerance of the hopping operator A's eigenvalues: default_gap_tol of A,
-# 1e-9 * ||A||_F / sqrt(dim), where ||A||_F = 2n for every n >= 3 (four unit
-# entries at distinct columns per row), so the scale is 2 at every size.
-HOPPING_GAP_TOL = 2e-9
+# Gap tolerance of the hopping operator A's eigenvalues: closer levels share a
+# cluster, which the translation stages split by momentum. By Davis-Kahan
+# (SIAM J. Numer. Anal. 7, 1970) the eigensolver mixes two clusters g apart by
+# about eps ||A||_2 / g, ||A||_2 = 4: at most about 3e-13 here, far below
+# verify's 1.9e-11 bound. A's default_gap_tol, 2e-9, would part levels of
+# different momentum orbits 1.4e-6 apart (n = 61), whose mixing breaches it.
+# Merging loses no accuracy: a cluster's plane waves are A's eigenvectors.
+HOPPING_MERGE_TOL = 3e-3
 
 # Columns per chunk of the passes over a whole basis: the combination
 # method's screen, and the residuals, the oracle comparison and the
@@ -355,11 +360,11 @@ def sector_eigh(n: int) -> SectorEigh:
     A, the sum of the four unit neighbour shifts of the n x n lattice
     (:func:`~tbbands.model.apply_hopping`), depends on n alone; its
     eigenvectors are those of H = alpha I - t A for every alpha and t. With
-    F_f the ring factors of :func:`~tbbands.model.ring_factors` (the
-    reflection-even and -odd columns at odd n, each split by the half-shift
-    at even n), A maps the span of each product F_f (x) F_g, F_f on the block
-    index p and F_g on the in-block index q, into itself, and acts there as
-    the Kronecker sum h_f (x) I + I (x) h_g of the ring hoppings
+    F_f the ring factors of :func:`~tbbands.model.ring_factors`, one per
+    character of the group of the reflection j -> -j and, at even n, the
+    half-shift j -> j + n/2, A maps the span of each product F_f (x) F_g, F_f
+    on the block index p and F_g on the in-block index q, into itself, and
+    acts there as the Kronecker sum h_f (x) I + I (x) h_g of the ring hoppings
     h_f = F_f^T (P + P^T) F_f (:func:`_kronecker_sum`). The diagonal swap
     (p, q) -> (q, p) commutes with A too: it maps F_f (x) F_g onto
     F_g (x) F_f, and splits each F_f (x) F_f into a swap-even (+) and a
@@ -522,11 +527,11 @@ def _assemble(
     return SymBasis(vectors=rows.T, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
-def _quarter_sites(n: int) -> np.ndarray:
+def _quarter_sites(n: int, half_shifts: np.ndarray) -> np.ndarray:
     """The sites of the fundamental domain p, q < n/2, and their images under
-    S_x and S_y, as a (3, sites) array: (S Q)[s] = Q[image of s]. At odd n,
-    where there is no half-shift, the domain is the whole lattice."""
-    half = n // 2 if n % 2 == 0 else n
+    S_x and S_y, as a (3, sites) array: (S Q)[s] = Q[image of s]. Where every
+    column's ``half_shifts`` are 0, at odd n, the domain is the whole lattice."""
+    half = n // 2 if half_shifts.any() else n
     sites = np.arange(n * n)
     images = np.stack([sites, translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
     return images.reshape(3, n, n)[:, :half, :half].reshape(3, -1)
@@ -565,8 +570,8 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     of the vectors are the same for every (alpha, t) at one n, t = 0 included.
 
     Stages: (1) diagonalize the real A in its symmetry blocks
-    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_GAP_TOL;
-    (2) inside every degenerate cluster diagonalize the projection of the
+    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_MERGE_TOL;
+    (2) inside every cluster diagonalize the projection of the
     phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
     phi = pi/(2n), whose eigenvalue fixes the x-translation eigenvalue;
     (3) inside remaining sub-clusters the same for S_y. Both stages cluster
@@ -592,10 +597,10 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     n, dim = family.n, family.dim
     base = sector_eigh(n)
     values = base.values
-    starts = np.array([c.start for c in cluster_eigenvalues(values, HOPPING_GAP_TOL).clusters])
+    starts = np.array([c.start for c in cluster_eigenvalues(values, HOPPING_MERGE_TOL).clusters])
     # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
     # S_y (2, m, k, k), summed over a quarter of the sites.
-    quarter = _quarter_sites(n)
+    quarter = _quarter_sites(n, base.half_shifts)
     tau, sigma = base.half_shifts.T
     characters = np.stack([np.ones(dim), tau, sigma, tau * sigma], axis=1)
     groups = []

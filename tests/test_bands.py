@@ -48,14 +48,12 @@ class TestComputeDispersion:
 
     def test_even_n_extremes_at_corner_momenta(self):
         band, _ = compute_dispersion(REFERENCE_N8)
-        rows = list(band.rows)
-        lowest = min(rows, key=lambda row: row[4])
-        highest = max(rows, key=lambda row: row[4])
-        assert (lowest[0], lowest[1]) == (0, 0)
-        assert (highest[0], highest[1]) == (4, 4)
-        near_min = [row for row in rows if abs(row[4] - lowest[4]) <= 1e-9]
-        near_max = [row for row in rows if abs(row[4] - highest[4]) <= 1e-9]
-        assert len(near_min) == len(near_max) == 1
+        lowest, highest = np.argmin(band.energy), np.argmax(band.energy)
+        assert (band.r[lowest], band.s[lowest]) == (0, 0)
+        assert (band.r[highest], band.s[highest]) == (4, 4)
+        near_min = np.abs(band.energy - band.energy[lowest]) <= 1e-9
+        near_max = np.abs(band.energy - band.energy[highest]) <= 1e-9
+        assert np.count_nonzero(near_min) == np.count_nonzero(near_max) == 1
 
     def test_methods_agree_n4(self):
         spec = LatticeSpec(4, 1.0, 0.2)
@@ -113,10 +111,9 @@ class TestCompareToAnalytic:
     def test_reference_column_inherits_index_symmetry(self):
         spec = LatticeSpec(7, 1.0, 0.2)
         band = analytic_dispersion(spec)
-        energy = {(r, s): e for r, s, _kx, _ky, e in band.rows}
-        for r in range(7):
-            for s in range(7):
-                assert abs(energy[(r, s)] - energy[((7 - r) % 7, s)]) <= 1e-15
+        energy = np.full((7, 7), np.nan)
+        energy[band.r, band.s] = band.energy
+        assert np.abs(energy - energy[(7 - np.arange(7)) % 7]).max() <= 1e-15
 
     def test_rejects_wrong_row_count(self):
         spec = LatticeSpec(4, 1.0, 0.2)
@@ -128,12 +125,13 @@ class TestAnalyticDispersion:
     def test_matches_pointwise_oracle(self):
         spec = LatticeSpec(5, 0.4, 0.3)
         band = analytic_dispersion(spec)
-        for r, s, kx, ky, energy in band.rows:
+        columns = (band.r, band.s, band.kx, band.ky, band.energy)
+        for r, s, kx, ky, energy in zip(*(c.tolist() for c in columns)):
             assert energy == analytic_eigenvalue(spec, (r, s))
             assert kx == 2 * math.pi * r / 5
             assert ky == 2 * math.pi * s / 5
 
     def test_distinct_rows(self):
         band = analytic_dispersion(LatticeSpec(4, 1.0, 0.2))
-        keys = {(r, s) for r, s, *_ in band.rows}
+        keys = set(zip(band.r.tolist(), band.s.tolist()))
         assert len(keys) == 16

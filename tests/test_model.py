@@ -18,7 +18,6 @@ from tbbands.model import (
     apply_hopping,
     build_family,
     hamiltonian_norm,
-    parity_factors,
     ring_factors,
     translate,
 )
@@ -422,14 +421,21 @@ def reflect(v, n, axis):
 
 
 class TestParityFactors:
+    """The reflection parities of the ring factors' columns."""
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_orthonormal_and_of_definite_parity(self, n):
-        even, odd = parity_factors(n)
+        # the reflection-even and reflection-odd factors side by side; at even
+        # n the half-shift splits each of them in two
+        factors, _ = ring_factors(n)
+        mirror = (-np.arange(n)) % n
+        is_even = [np.array_equal(f[mirror], f) for f in factors]
+        even = np.hstack([f for f, e in zip(factors, is_even) if e])
+        odd = np.hstack([f for f, e in zip(factors, is_even) if not e])
         assert even.shape == (n, n // 2 + 1)
         assert odd.shape == (n, (n - 1) // 2)
         both = np.hstack([even, odd])
         assert np.abs(both.T @ both - np.eye(n)).max() <= 4 * np.finfo(float).eps
-        mirror = (-np.arange(n)) % n
         assert np.array_equal(even[mirror], even)
         assert np.array_equal(odd[mirror], -odd)
 
@@ -444,13 +450,13 @@ class TestParityFactors:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_sectors_decouple(self, n):
-        # H maps each sector's columns A (x) B into that sector: folding them
-        # onto any other sector leaves rounding only
+        # H maps each sector's columns A (x) B, over the ring factors, into
+        # that sector: folding them onto any other sector leaves rounding only
         rng = np.random.default_rng(n)
         spec = LatticeSpec(n, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5)))
         family = build_family(spec)
-        even, odd = parity_factors(n)
-        sectors = [np.kron(a, b) for a in (even, odd) for b in (even, odd)]
+        factors, _ = ring_factors(n)
+        sectors = [np.kron(a, b) for a in factors for b in factors]
         bound = 1e-15 * np.linalg.norm(dense_h(spec))
         for i, source in enumerate(sectors):
             applied = family.apply_h(source)
@@ -460,27 +466,31 @@ class TestParityFactors:
 
 
 class TestRingFactors:
-    @pytest.mark.parametrize("n", range(4, 91, 2))
+    @pytest.mark.parametrize("n", range(3, 91))
     def test_exact_orthonormal_factors_of_definite_parities(self, n):
-        # at even n the reflection and half-shift parity factors, built by
-        # index arithmetic; at n = 4 the reflection-odd, half-shift-even
-        # factor has no column
+        # the factors of definite reflection parity and, at even n, half-shift
+        # parity; at n = 4 the reflection-odd, half-shift-even factor has no
+        # column, and at odd n the half-shift parities are 0
         factors, taus = ring_factors(n)
-        assert len(factors) == len(taus) == (3 if n == 4 else 4)
+        assert len(factors) == len(taus) == (2 if n % 2 else 3 if n == 4 else 4)
         ring = np.hstack(factors)
         assert ring.shape == (n, n)
-        assert set(np.abs(ring).ravel().tolist()) <= {0.0, 0.5, math.sqrt(0.5)}
+        entries = {0.0, 1.0, math.sqrt(0.5)} if n % 2 else {0.0, 0.5, math.sqrt(0.5)}
+        assert set(np.abs(ring).ravel().tolist()) <= entries
         assert np.abs(ring.T @ ring - np.eye(n)).max() <= 4 * np.finfo(float).eps
         mirror = (-np.arange(n)) % n
         parities = set()
         for f, tau in zip(factors, taus):
-            assert np.array_equal(np.roll(f, n // 2, axis=0), tau * f)
+            if n % 2:
+                assert tau == 0
+            else:
+                assert np.array_equal(np.roll(f, n // 2, axis=0), tau * f)
             rho = 1 if np.array_equal(f[mirror], f) else -1
             assert np.array_equal(f[mirror], rho * f)
             parities.add((rho, int(tau)))
         assert len(parities) == len(factors)
 
-    @pytest.mark.parametrize("n", range(4, 91, 2))
+    @pytest.mark.parametrize("n", range(3, 91))
     def test_ring_hopping_couples_no_two_factors(self, n):
         # Each column's nonzero entries share one modulus, so F = sign(F) D
         # with D a positive diagonal, and F_f^T (P + P^T) F_g is zero exactly
@@ -496,8 +506,21 @@ class TestRingFactors:
                 coupling = left.T @ (np.roll(right, 1, axis=0) + np.roll(right, -1, axis=0))
                 assert (i == j) or not coupling.any()
 
-    @pytest.mark.parametrize("n", range(3, 30, 2))
+    @pytest.mark.parametrize("n", range(3, 91, 2))
     def test_odd_n_keeps_the_parity_factors(self, n):
+        # at odd n the factors are the reflection-even columns e_0 and
+        # (e_j + e_{n-j})/sqrt(2), and the reflection-odd (e_j - e_{n-j})/sqrt(2),
+        # 0 < j < n/2, bit for bit, with half-shift parities 0
+        half = n // 2
+        j = np.arange(1, half + 1)
+        even = np.zeros((n, half + 1))
+        odd = np.zeros((n, half))
+        even[0, 0] = 1.0
+        even[j, j] = even[n - j, j] = math.sqrt(0.5)
+        odd[j, j - 1] = math.sqrt(0.5)
+        odd[n - j, j - 1] = -math.sqrt(0.5)
         factors, taus = ring_factors(n)
-        assert all(np.array_equal(f, g) for f, g in zip(factors, parity_factors(n)))
         assert len(factors) == 2 and np.array_equal(taus, [0, 0])
+        for got, want in zip(factors, (even, odd)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -29,7 +29,7 @@ from tbbands.model import (
 )
 from tbbands.simdiag import (
     FILTER_RTOL,
-    HOPPING_GAP_TOL,
+    HOPPING_MERGE_TOL,
     STAGE_GAP_TOL,
     CandidateDeficitError,
     MomentumLabelError,
@@ -493,12 +493,35 @@ class TestRefine:
             assert np.abs(projected - q.T @ dense @ q).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 16])
-    def test_hopping_gap_tol_is_dense_default(self, n):
-        # default_gap_tol of the dense hopping operator A, to its last-ulp
-        # rounding: ||A||_F = 2n for every n >= 3
+    def test_hopping_merge_tol_bounds_the_mixing(self, n):
+        # Davis-Kahan: the eigensolver mixes the vectors of A's clusters g
+        # apart by about eps ||A||_2 / g, with ||A||_2 = 4 at every n (the
+        # level 4 at momentum (0, 0)); across HOPPING_MERGE_TOL that is
+        # 3e-13, under 1/50 of verify's translation-residual bounds. The
+        # dense default_gap_tol(A), 2e-9, would allow 4.4e-7.
         a = dense_hopping(n)
-        assert np.linalg.norm(a) == 2 * n
-        assert math.isclose(default_gap_tol(a), HOPPING_GAP_TOL, rel_tol=1e-15)
+        assert math.isclose(np.linalg.norm(a, 2), 4.0, rel_tol=1e-14)
+        mixing = np.finfo(float).eps * 4.0 / HOPPING_MERGE_TOL
+        assert 2.9e-13 <= mixing <= 3e-13
+        for key in ("max_residual_sx", "max_residual_sy"):
+            assert 50 * mixing <= VERIFY_THRESHOLDS[key]
+        assert math.isclose(default_gap_tol(a), 2e-9, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("n", range(3, 91))
+    def test_merged_hopping_clusters_in_closed_form(self, n):
+        # A's levels 2 cos(2 pi r / n) + 2 cos(2 pi s / n), clustered at the
+        # dense default 2e-9 and at HOPPING_MERGE_TOL: the partitions agree at
+        # every benchmark size, no gap sits within 1e-9 of the tolerance (so
+        # rounding cannot move a cluster boundary), and the greedy merge
+        # chains no cluster beyond 178 columns (n = 90's largest either way)
+        ring = 2.0 * np.cos(2.0 * math.pi * np.arange(n) / n)
+        levels = np.sort((ring[:, None] + ring).ravel())
+        fine = cluster_eigenvalues(levels, 2e-9).clusters
+        merged = cluster_eigenvalues(levels, HOPPING_MERGE_TOL).clusters
+        if n <= 16 or n in (22, 30):
+            assert merged == fine
+        assert np.abs(np.diff(levels) - HOPPING_MERGE_TOL).min() > 1e-9
+        assert max(map(len, merged)) <= 178
 
     @pytest.mark.parametrize("n", range(3, 91))
     def test_rotated_stage_separates_every_momentum(self, n):
@@ -638,8 +661,8 @@ class TestRefine:
         # that the reference itself errs by O(log(dim) eps); at odd n the
         # domain is the whole lattice
         base = simdiag.sector_eigh(n)
-        starts = np.array([c.start for c in cluster_eigenvalues(base.values, HOPPING_GAP_TOL).clusters])
-        quarter = simdiag._quarter_sites(n)
+        starts = np.array([c.start for c in cluster_eigenvalues(base.values, HOPPING_MERGE_TOL).clusters])
+        quarter = simdiag._quarter_sites(n, base.half_shifts)
         assert quarter.shape == (3, (n // 2 if n % 2 == 0 else n) ** 2)
         tau, sigma = base.half_shifts.T
         characters = np.stack([np.ones(n * n), tau, sigma, tau * sigma], axis=1)
@@ -749,6 +772,15 @@ class TestRefine:
         # basis depends on n alone, so neither a tiny t nor a large alpha/t
         # ratio may cost it the verify bounds
         spec = LatticeSpec(n, alpha, t)
+        family = build_family(spec)
+        report = verify_basis(simultaneous_basis_refine(family), family, spec).as_dict()
+        assert {k: v for k, v in report.items() if v > VERIFY_THRESHOLDS[k]} == {}
+
+    def test_odd_n61_meets_verify_thresholds(self):
+        # n = 61 is the worst of the odd sizes whose near-tied levels of A
+        # (1.4e-6 apart) once sat in separate clusters: the translation
+        # residuals reached 15.8 times their bound
+        spec = LatticeSpec(61, 1.3, -0.7)
         family = build_family(spec)
         report = verify_basis(simultaneous_basis_refine(family), family, spec).as_dict()
         assert {k: v for k, v in report.items() if v > VERIFY_THRESHOLDS[k]} == {}
