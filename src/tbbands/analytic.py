@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .eigen import cluster_eigenvalues
 from .model import LatticeSpec
 
 
@@ -23,25 +22,11 @@ def _check_index(spec: LatticeSpec, idx) -> None:
         raise ValueError(f"momentum index {tuple(idx)} out of range for n={spec.n}")
 
 
-def analytic_eigenvalue(spec: LatticeSpec, idx) -> float:
-    """Energy at index (r, s): alpha - 2t*(cos(2*pi*r/n) + cos(2*pi*s/n)).
-
-    The two cosines are added before scaling so swapping r and s gives the
-    bit-identical float.
-    """
-    _check_index(spec, idx)
-    r, s = idx
-    cr = math.cos(2.0 * math.pi * r / spec.n)
-    cs = math.cos(2.0 * math.pi * s / spec.n)
-    return spec.alpha - 2.0 * spec.t * (cr + cs)
-
-
 def analytic_energies(spec: LatticeSpec) -> np.ndarray:
-    """The (n, n) grid of energies, entry [r, s] bit-identical to :func:`analytic_eigenvalue`.
+    """The (n, n) grid of energies, entry [r, s] alpha - 2t*(cos(2*pi*r/n) + cos(2*pi*s/n)).
 
-    The n cosines are the same ``math.cos`` calls on the same angles, and each
-    entry is formed by the same float operations in the same order, so the
-    grid is symmetric bit for bit.
+    The n cosines are ``math.cos`` calls, and the two cosines are added before
+    scaling, so the grid is symmetric bit for bit.
     """
     n = spec.n
     cosines = np.array([math.cos(2.0 * math.pi * k / n) for k in range(n)])
@@ -102,29 +87,3 @@ def _plane_waves(block_phase: np.ndarray, site_phase: np.ndarray) -> np.ndarray:
     parts = waves.view(float)
     parts *= 1.0 / block_phase.shape[0]
     return waves
-
-
-def default_census_tol(spec: LatticeSpec) -> float:
-    """Gap threshold separating genuine levels from ulp-level index-symmetry ties."""
-    return 1e-9 * max(1.0, abs(spec.alpha) + 4.0 * abs(spec.t))
-
-
-def degeneracy_census(
-    spec: LatticeSpec, tol: float | None = None
-) -> list[tuple[float, int]]:
-    """Distinct closed-form energies with multiplicities, ascending.
-
-    Energies whose pairwise gaps stay within ``tol`` are merged into one level
-    (exact analytic ties land within an ulp of each other but are not
-    bit-identical, since symmetry-related indices feed different float angles
-    to the cosine). Counts sum to n^2.
-    """
-    if tol is None:
-        tol = default_census_tol(spec)
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0 (got {tol})")
-    energies = np.sort(analytic_energies(spec), axis=None)
-    return [
-        (math.fsum(energies[c.start : c.stop]) / len(c), len(c))
-        for c in cluster_eigenvalues(energies, tol).clusters
-    ]

@@ -12,7 +12,7 @@ from .model import CommutingFamily, LatticeSpec, build_family
 from .simdiag import (
     SymBasis,
     VerificationReport,
-    sector_eigh,
+    sector_blocks,
     simultaneous_basis_combination,
     simultaneous_basis_refine,
     verify_basis,
@@ -36,8 +36,12 @@ def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandD
     """Assemble a BandData table from labelled energies, rows in label order.
 
     ``labels`` is a (k, 2) integer array, row j the (r, s) of ``energies[j]``.
+    Raises ValueError naming both lengths when they differ.
     """
     codes = label_codes(spec, labels)
+    energies = np.asarray(energies, dtype=float)
+    if energies.shape != codes.shape:
+        raise ValueError(f"{codes.size} labels for {energies.size} energies")
     order = np.argsort(codes, kind="stable")
     r, s = np.divmod(codes[order], spec.n)
     return BandData(
@@ -45,7 +49,7 @@ def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandD
         s=s,
         kx=2.0 * math.pi * r / spec.n,
         ky=2.0 * math.pi * s / spec.n,
-        energy=np.asarray(energies, dtype=float)[order],
+        energy=energies[order],
     )
 
 
@@ -82,11 +86,13 @@ def compute_dispersion(
 def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
     """Eigenvalues of the Hamiltonian, ascending (no momentum labels needed).
 
-    The eigenvalues alpha - t lambda of H = alpha I - t A, from the same
-    symmetry-block eigensolve of the hopping operator A (``sector_eigh``)
-    that the refine method starts from.
+    The eigenvalues alpha - t lambda of H = alpha I - t A, from the symmetry
+    blocks of the hopping operator A (:func:`~tbbands.simdiag.sector_blocks`)
+    that the refine method starts from; no eigenvector is lifted. The values
+    are stable-sorted first, as :func:`~tbbands.simdiag.sector_eigh` sorts
+    them, so every bit is that of its sorted values.
     """
-    hopping = sector_eigh(build_family(spec).n).values
+    hopping = np.sort(sector_blocks(build_family(spec).n)[0], kind="stable")
     return np.sort(spec.alpha - spec.t * hopping)
 
 

@@ -37,10 +37,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class EigenvalueClusters:

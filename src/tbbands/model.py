@@ -85,20 +85,19 @@ def hamiltonian_norm(spec: LatticeSpec) -> float:
     return spec.n * math.hypot(spec.alpha, 2.0 * spec.t)
 
 
-def translate(v: np.ndarray, n: int, axis: int, step: int) -> np.ndarray:
-    """Shift a (dim,) vector or (dim, k) block ``step`` sites along a grid axis.
+def translate(v: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """The translation along a grid axis (S_x for X_AXIS, S_y for Y_AXIS) of a
+    (dim,) vector or (dim, k) block: one site forward, with wrap-around.
 
-    With ``step`` = 1 this is the translation along ``axis`` (S_x for X_AXIS,
-    S_y for Y_AXIS); with ``step`` = -1 its transpose. The entries move by two
-    wrap-around slice copies, as in :func:`apply_hopping`, into a buffer laid
-    out as ``np.roll``'s: the result is ``np.roll``'s, bit for bit.
+    The entries move by two slice copies, as in :func:`apply_hopping`, into a
+    buffer laid out as ``np.roll``'s: the result is ``np.roll(g, 1, axis)``'s
+    on the site grid g, bit for bit.
     """
     g = v.reshape(n, n, -1)
     shifted = np.empty_like(g)
-    s = step % n
     dst, src = (shifted, g) if axis == Y_AXIS else (shifted.swapaxes(0, 1), g.swapaxes(0, 1))
-    dst[s:] = src[: n - s]
-    dst[:s] = src[n - s :]
+    dst[1:] = src[:-1]
+    dst[0] = src[-1]
     return shifted.reshape(v.shape)
 
 
@@ -181,10 +180,10 @@ class CommutingFamily:
         return self.spec.n
 
     def apply_sx(self, v: np.ndarray) -> np.ndarray:
-        return translate(v, self.n, X_AXIS, 1)
+        return translate(v, self.n, X_AXIS)
 
     def apply_sy(self, v: np.ndarray) -> np.ndarray:
-        return translate(v, self.n, Y_AXIS, 1)
+        return translate(v, self.n, Y_AXIS)
 
     def apply_h(self, v: np.ndarray) -> np.ndarray:
         """alpha * v minus t times the hopping operator A applied to v."""

@@ -168,10 +168,6 @@ class SymBasis:
     labels: np.ndarray
     sym_eigs: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -354,34 +350,31 @@ def _kronecker_sum(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return total.reshape(ma * mb, -1)
 
 
-def sector_eigh(n: int) -> SectorEigh:
-    """Eigendecomposition of the hopping operator A through its symmetry blocks.
+def sector_blocks(n: int):
+    """The symmetry blocks of the hopping operator A, each decomposed.
 
     A, the sum of the four unit neighbour shifts of the n x n lattice
-    (:func:`~tbbands.model.apply_hopping`), depends on n alone; its
-    eigenvectors are those of H = alpha I - t A for every alpha and t. With
-    F_f the ring factors of :func:`~tbbands.model.ring_factors`, one per
-    character of the group of the reflection j -> -j and, at even n, the
-    half-shift j -> j + n/2, A maps the span of each product F_f (x) F_g, F_f
-    on the block index p and F_g on the in-block index q, into itself, and
-    acts there as the Kronecker sum h_f (x) I + I (x) h_g of the ring hoppings
-    h_f = F_f^T (P + P^T) F_f (:func:`_kronecker_sum`). The diagonal swap
-    (p, q) -> (q, p) commutes with A too: it maps F_f (x) F_g onto
-    F_g (x) F_f, and splits each F_f (x) F_f into a swap-even (+) and a
-    swap-odd (-) half (:func:`_swap_fold`). So the blocks are F_f (x) F_g for
-    f < g, whose mirror takes its values bit for bit and its vectors with the
-    site grid transposed, and the two halves of each F_f (x) F_f: five blocks
-    at odd n, at most fourteen at even n. They are decomposed with one
-    stacked :func:`eig_hermitian` call per distinct block size, the values
-    are merged by one stable sort, and each block's lifted vectors are
-    written straight into its sorted columns. Returns ascending values, real
-    orthonormal (dim, dim) vectors, column-major, as a dense eigensolve of
-    the whole A would, in a different basis inside each degenerate
-    eigenspace, and each column's half-shift parities, those of its block's
-    factors. No h_f is decomposed on its own: its eigenvectors would be the
-    ring's cosine and sine modes, the oracle's.
+    (:func:`~tbbands.model.apply_hopping`), depends on n alone. With F_f the
+    ring factors of :func:`~tbbands.model.ring_factors`, one per character of
+    the group of the reflection j -> -j and, at even n, the half-shift
+    j -> j + n/2, A maps each product F_f (x) F_g, F_f on the block index p
+    and F_g on the in-block index q, into itself as the Kronecker sum
+    h_f (x) I + I (x) h_g of the ring hoppings h_f = F_f^T (P + P^T) F_f
+    (:func:`_kronecker_sum`). The diagonal swap (p, q) -> (q, p) maps
+    F_f (x) F_g onto its mirror F_g (x) F_f, whose values are the same bits,
+    and splits each F_f (x) F_f into a swap-even (+) and a swap-odd (-) half
+    (:func:`_swap_fold`): five blocks at odd n, at most fourteen at even n,
+    decomposed by one stacked :func:`eig_hermitian` call per block size. The
+    vectors are formed even for a reader of the values alone, whose values
+    are then those of :func:`sector_eigh` bit for bit. No h_f is decomposed
+    on its own: its eigenvectors would be the ring's cosine and sine modes,
+    the oracle's.
+
+    Returns A's dim eigenvalues, unsorted: every block's, then each f < g
+    block's again for its mirror; the factors and their half-shift parities;
+    the factor pairs f <= g; and each block's (values, vectors) in pair
+    order, the + half first where f = g.
     """
-    dim = n * n
     factors, taus = ring_factors(n)
     # F_f^T P F_f for every f at once: P couples no two factors.
     ring = np.hstack(factors)
@@ -391,13 +384,16 @@ def sector_eigh(n: int) -> SectorEigh:
     hops = [hop[a:b, a:b] for a, b in zip(bounds, bounds[1:])]
     eye = np.eye(max(map(len, hops)))
     # The factor pairs f <= g, each with its blocks: F_f (x) F_g, or for f = g
-    # the halves of _swap_fold and the index sets that fold them.
+    # the halves of _swap_fold.
     pairs = [(f, g) for f in range(len(factors)) for g in range(f, len(factors))]
-    swaps = [_swap_pairs(len(h)) for h in hops]
-    blocks = []
+    blocks, mirrors = [], []
     for f, g in pairs:
         kron = _kronecker_sum(hops[f], hops[g], eye)
-        blocks += _swap_fold(kron, swaps[f]) if f == g else [kron]
+        if f == g:
+            blocks += _swap_fold(kron, _swap_pairs(len(hops[f])))
+        else:
+            mirrors.append(len(blocks))
+            blocks.append(kron)
     sizes = [len(b) for b in blocks]
     solved = [(np.zeros(0), np.zeros((0, 0)))] * len(blocks)
     for k in sorted(set(sizes) - {0}):
@@ -405,19 +401,32 @@ def sector_eigh(n: int) -> SectorEigh:
         sub = eig_hermitian(np.stack([blocks[i] for i in members]))
         for i, values, vectors in zip(members, sub.values, sub.vectors):
             solved[i] = (values, vectors)
-    # Per pair: its values and its coordinates over F_f (x) F_g.
-    solved = iter(solved)
-    sectors = []
-    for f, g in pairs:
-        if f == g:
-            (plus, u), (minus, w) = next(solved), next(solved)
-            sectors.append((np.concatenate([plus, minus]), _swap_unfold(u, w, swaps[f])))
-        else:
-            sectors.append(next(solved))
-    # Each off-diagonal pair's vectors, transposed on the site grid, are its
-    # mirror's, and its values repeat there, after all the pairs'.
-    mirrored = [values for (f, g), (values, _) in zip(pairs, sectors) if f != g]
-    values = np.concatenate([v for v, _ in sectors] + mirrored)
+    values = np.concatenate([v for v, _ in solved] + [solved[i][0] for i in mirrors])
+    return values, factors, taus, pairs, solved
+
+
+def sector_eigh(n: int) -> SectorEigh:
+    """Eigendecomposition of the hopping operator A through its symmetry blocks.
+
+    The blocks of :func:`sector_blocks` are unfolded where f = g
+    (:func:`_swap_unfold`), their values merged by one stable sort, and
+    each block's lifted vectors written straight into its sorted columns,
+    and an f < g block's into its mirror's with the site grid transposed.
+    Returns ascending values, real orthonormal (dim, dim) vectors,
+    column-major, as a dense eigensolve of the whole A would, in a different
+    basis inside each degenerate eigenspace, and each column's half-shift
+    parities, those of its block's factors.
+    """
+    dim = n * n
+    values, factors, taus, pairs, solved = sector_blocks(n)
+    # Per pair: its coordinates over F_f (x) F_g, from both halves where f = g.
+    vectors = iter([v for _, v in solved])
+    sectors = [
+        _swap_unfold(next(vectors), next(vectors), _swap_pairs(factors[f].shape[1]))
+        if f == g
+        else next(vectors)
+        for f, g in pairs
+    ]
     order = np.argsort(values, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(dim)
@@ -425,8 +434,8 @@ def sector_eigh(n: int) -> SectorEigh:
     # a column's half-shift parities (x, y) are those of its factors on q and p.
     columns = np.empty((dim, n, n))
     half_shifts = np.empty((dim, 2), dtype=int)
-    start, mirror = 0, dim - sum(map(len, mirrored))
-    for (f, g), (_, coords) in zip(pairs, sectors):
+    start, mirror = 0, sum(coords.shape[1] for coords in sectors)
+    for (f, g), coords in zip(pairs, sectors):
         m = coords.shape[1]
         a, b = factors[f], factors[g]
         lifted = b @ (a @ coords.reshape(a.shape[1], -1)).reshape(n, b.shape[1], m)
@@ -533,7 +542,7 @@ def _quarter_sites(n: int, half_shifts: np.ndarray) -> np.ndarray:
     column's ``half_shifts`` are 0, at odd n, the domain is the whole lattice."""
     half = n // 2 if half_shifts.any() else n
     sites = np.arange(n * n)
-    images = np.stack([sites, translate(sites, n, X_AXIS, 1), translate(sites, n, Y_AXIS, 1)])
+    images = np.stack([sites, translate(sites, n, X_AXIS), translate(sites, n, Y_AXIS)])
     return images.reshape(3, n, n)[:, :half, :half].reshape(3, -1)
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from tbbands import cli
-from tbbands.analytic import analytic_eigenvalue, degeneracy_census
 from tbbands.bands import compute_spectrum
 from tbbands.eigen import cluster_eigenvalues, eig_hermitian
 from tbbands.model import LatticeSpec, build_family
 from tbbands.simdiag import simultaneous_basis_refine, verify_basis
 
+from analytic_reference import analytic_eigenvalue, degeneracy_census
 from dense_reference import dense_h
 
 

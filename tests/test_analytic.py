@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbbands.analytic import (
-    analytic_energies,
-    analytic_eigenvalue,
-    analytic_eigenvector,
-    analytic_eigenvectors,
-    degeneracy_census,
-)
+from tbbands.analytic import analytic_energies, analytic_eigenvector, analytic_eigenvectors
 from tbbands.bands import analytic_dispersion
 from tbbands.model import LatticeSpec
 
+from analytic_reference import analytic_eigenvalue, degeneracy_census
 from dense_reference import dense_h
 
 REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)

@@ -3,19 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from tbbands.analytic import analytic_eigenvalue, degeneracy_census
+from tbbands.analytic import analytic_energies
 from tbbands.bands import (
     analytic_dispersion,
+    band_from_energies,
     compare_to_analytic,
     compute_dispersion,
     compute_spectrum,
 )
 from tbbands.eigen import cluster_eigenvalues
 from tbbands.model import LatticeSpec
+from tbbands.simdiag import sector_eigh
 
+from analytic_reference import analytic_eigenvalue, degeneracy_census
 from dense_reference import dense_h
 
 REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)
+
+# (alpha, t) of the spectrum sweeps: a generic point, pure hopping, and a
+# large on-site energy over a weak hopping.
+SPECTRUM_PARAMETERS = [(1.3, -0.7), (0.0, 1.0), (-2.5, 0.05)]
+
+
+class TestBandFromEnergies:
+    @pytest.mark.parametrize("k_labels,k_energies", [(9, 12), (5, 9), (9, 5)])
+    def test_rejects_mismatched_lengths(self, k_labels, k_energies):
+        labels = np.stack(np.divmod(np.arange(k_labels), 3), axis=1)
+        with pytest.raises(ValueError, match=f"^{k_labels} labels for {k_energies} energies$"):
+            band_from_energies(LatticeSpec(3, 1.0, 0.2), labels, np.zeros(k_energies))
 
 
 class TestComputeDispersion:
@@ -89,6 +104,25 @@ class TestComputeSpectrum:
             ]
         )
         assert np.abs(spectrum - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 60, 61, 90])
+    def test_matches_sorted_closed_form(self, n):
+        # every n up to 40, and three sizes toward the dense cap: n = 60, the
+        # prime 61 (no half-shift) and the cap's 90
+        for alpha, t in SPECTRUM_PARAMETERS:
+            spec = LatticeSpec(n, alpha, t)
+            want = np.sort(analytic_energies(spec), axis=None)
+            error = np.abs(compute_spectrum(spec) - want).max()
+            assert error <= 1e-13 * (abs(alpha) + 4 * abs(t))
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_is_sector_eigh_values_bit_for_bit(self, n):
+        # the two readers of the symmetry blocks keep the same values
+        values = sector_eigh(n).values
+        for alpha, t in SPECTRUM_PARAMETERS:
+            got = compute_spectrum(LatticeSpec(n, alpha, t))
+            want = np.sort(alpha - t * values)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_band_and_spectrum_agree_as_multisets(self):
         spec = LatticeSpec(5, 1.0, 0.2)

@@ -69,7 +69,7 @@ class TestLatticeSpec:
 def ring_shift(n):
     """The n-site cyclic shift as ``translate`` applies it along the x axis of
     an n x n grid: the first in-block diagonal block of S_x."""
-    return translate(np.eye(n * n, n), n, X_AXIS, 1)[:n]
+    return translate(np.eye(n * n, n), n, X_AXIS)[:n]
 
 
 class TestShift:
@@ -78,33 +78,30 @@ class TestShift:
 
     def test_n1_is_identity(self):
         for axis in (X_AXIS, Y_AXIS):
-            assert np.array_equal(translate(np.eye(1), 1, axis, 1), [[1.0]])
+            assert np.array_equal(translate(np.eye(1), 1, axis), [[1.0]])
 
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             LatticeSpec(0, 1.0, 0.2)
         # a vector that does not fill the n x n grid is refused, not truncated
         with pytest.raises(ValueError):
-            translate(np.ones(5), 2, X_AXIS, 1)
+            translate(np.ones(5), 2, X_AXIS)
 
     @given(st.integers(1, 40))
     def test_orthogonal_permutation(self, n):
-        # every site index lands exactly once, and the step -1 (the
-        # transpose) undoes the step +1: an orthogonal permutation
+        # every site index lands exactly once: an orthogonal permutation
         sites = np.arange(n * n)
         for axis in (X_AXIS, Y_AXIS):
-            moved = translate(sites, n, axis, 1)
+            moved = translate(sites, n, axis)
             assert np.array_equal(np.sort(moved), sites)
-            assert np.array_equal(translate(moved, n, axis, -1), sites)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_is_np_roll_bit_for_bit(self, data):
-        # every step, negative and beyond n included, on both axes, for a
-        # vector and a block holding signed zeros and NaNs with payloads:
-        # the slices move the same bits to the same places as np.roll
+        # on both axes, for a vector and a block holding signed zeros and
+        # NaNs with payloads: the slices move the same bits to the same
+        # places as np.roll by one site
         n = data.draw(st.integers(1, 40))
-        step = data.draw(st.integers(-n, 2 * n))
         k = data.draw(st.sampled_from([None, 1, 3]))
         shape = (n * n,) if k is None else (n * n, k)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -113,8 +110,8 @@ class TestShift:
         bits.ravel()[rng.permutation(bits.size)[:4]] = specials[: bits.size]
         v = bits.view(np.float64)
         for axis in (X_AXIS, Y_AXIS):
-            got = translate(v, n, axis, step)
-            want = np.roll(v.reshape(n, n, -1), step, axis=axis).reshape(v.shape)
+            got = translate(v, n, axis)
+            want = np.roll(v.reshape(n, n, -1), 1, axis=axis).reshape(v.shape)
             assert got.shape == v.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -170,7 +167,7 @@ class TestKron:
                 assert np.array_equal(block, ring_shift(n) if p == q else np.zeros((n, n)))
 
     def test_shift_factor_swaps_block_halves(self):
-        out = translate(np.eye(4), 2, Y_AXIS, 1)
+        out = translate(np.eye(4), 2, Y_AXIS)
         want = np.zeros((4, 4))
         want[2:, :2] = np.eye(2)
         want[:2, 2:] = np.eye(2)
@@ -386,13 +383,6 @@ class TestMatrixFreeOperators:
         want = dense_h(spec) @ v
         scale = (abs(spec.alpha) + 4 * abs(spec.t)) * np.abs(v).max()
         assert np.abs(family.apply_h(v) - want).max() <= 8 * np.finfo(float).eps * scale
-
-    @pytest.mark.parametrize("n", [3, 4, 7])
-    def test_negative_step_is_transpose(self, n):
-        _h, sx, sy = dense_operators(LatticeSpec(n, 1.0, 0.2))
-        v = dyadic_block(np.random.default_rng(n), n * n, 4)
-        assert np.array_equal(translate(v, n, X_AXIS, -1), sx.T @ v)
-        assert np.array_equal(translate(v, n, Y_AXIS, -1), sy.T @ v)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_apply_h_equals_four_roll_formula_bit_for_bit(self, n):
