@@ -24,6 +24,7 @@ closed form :func:`hamiltonian_norm`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -47,8 +48,9 @@ class LatticeSpec:
     an integer (a numpy integer is stored as an int), and n >= 3 is required:
     for n = 2 the left and right neighbour of a site coincide and the
     nearest-neighbour coupling pattern would double up, and n = 1 self-couples.
-    |alpha| + 4|t|, the bound on every energy, must be a finite float, which
-    also rules out a NaN or infinite alpha or t.
+    alpha and t must be real numbers, stored as floats, and |alpha| + 4|t|,
+    the bound on every energy, must be a finite float, which also rules out a
+    NaN or infinite alpha or t.
     """
 
     n: int
@@ -60,6 +62,11 @@ class LatticeSpec:
             object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise ValueError(f"n must be an integer (got {self.n!r})") from None
+        for name in ("alpha", "t"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number (got {value!r})")
+            object.__setattr__(self, name, float(value))
         if self.n < 3:
             raise ValueError(
                 f"n must be >= 3 (got {self.n}); below that the cyclic "

@@ -34,11 +34,11 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   commute with the translations, so a symmetry-adapted eigenvector carries
   no momentum: each block's solver still returns an arbitrary basis inside
   its degenerate subspaces (the (r, s) and (s, r) modes, say), and a cluster
-  of A spans several blocks. A half-shift parity is the parity of a
-  momentum component, but it is used only to sum the projections of S_x and
-  S_y over a quarter of the lattice (the fundamental domain of the two
-  half-shifts, weighted by the columns' parities); every momentum label
-  still comes from the translation stages.
+  of A spans several blocks. The half-shifts commute with the translations,
+  and their parities are those of the momentum components, so A's levels
+  are clustered inside each parity class, and S_x and S_y are projected from
+  a quarter of the lattice, the half-shifts' fundamental domain. Every label
+  comes from the translation stages, and is checked against its class.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
@@ -546,27 +546,20 @@ def _quarter_sites(n: int, half_shifts: np.ndarray) -> np.ndarray:
     return images.reshape(3, n, n)[:, :half, :half].reshape(3, -1)
 
 
-def _translation_projections(
-    columns: np.ndarray, characters: np.ndarray, quarter: np.ndarray
-) -> np.ndarray:
+def _translation_projections(columns: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """Q_b^T S_x Q_b and Q_b^T S_y Q_b, (2, m, k, k), for m blocks of k columns.
 
     ``columns`` is the (m, k, dim) stack of the blocks' columns of a
-    :class:`SectorEigh` and ``quarter`` is :func:`_quarter_sites`. The
-    translations commute with the half-shifts, so the summand
-    Q[s, i] (S Q)[s, j] at the image of site s under a half-shift g is
-    chi_i(g) chi_j(g) times the one at s, chi_i being column i's parities:
-    each projection is a sum over the fundamental domain, weighted by
-    sum_g chi_i(g) chi_j(g) = (1 + tau_i tau_j)(1 + sigma_i sigma_j) for the
-    x and y parities tau and sigma. ``characters`` holds each column's
-    chi(g) over the four g, (1, tau, sigma, tau sigma), as (m, k, 4), so the
-    weights are their inner products: 4 between columns of equal parities
-    and 0 between others, exact, and 1 at odd n, where the parities are 0.
-    The sums run along the sites, the contiguous axis.
+    :class:`SectorEigh`, each block of one half-shift class, and ``quarter``
+    is :func:`_quarter_sites`. The translations commute with the half-shifts,
+    so the summand Q[s, i] (S Q)[s, j] is the same at every image of site s
+    under the half-shifts: each projection is the sum over the fundamental
+    domain times dim / |domain|, 4 at even n and 1 at odd n, exact. The sums
+    run along the sites, the contiguous axis.
     """
     rows = np.take(columns, quarter, axis=-1)
     projections = rows[:, :, 0] @ rows[:, :, 1:].transpose(2, 0, 3, 1)
-    projections *= characters @ characters.transpose(0, 2, 1)
+    projections *= columns.shape[-1] // quarter.shape[1]
     return projections
 
 
@@ -579,44 +572,57 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     of the vectors are the same for every (alpha, t) at one n, t = 0 included.
 
     Stages: (1) diagonalize the real A in its symmetry blocks
-    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_MERGE_TOL;
-    (2) inside every cluster diagonalize the projection of the
-    phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
+    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_MERGE_TOL
+    inside each half-shift class, in one pass over A's columns sorted by
+    class, then value; (2) inside every cluster diagonalize the projection
+    of the phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
     phi = pi/(2n), whose eigenvalue fixes the x-translation eigenvalue;
     (3) inside remaining sub-clusters the same for S_y. Both stages cluster
     with STAGE_GAP_TOL; the partition is carried as ``starts``, each block's
     first column. After the eigensolve of A every stage works in the
     blocks' own coordinates: S_x and S_y are projected once onto each block of
     A's real eigenvectors Q, as sums over the fundamental domain of the
-    half-shifts weighted by the columns' half-shift parities
-    (:func:`_translation_projections`; the whole lattice at odd n), the
-    stages are (k, k) Hermitian eigendecompositions of those projections,
-    one stacked call per block size, and the translation eigenvalues are
+    half-shifts (:func:`_translation_projections`; the whole lattice at odd
+    n), the stages are (k, k) Hermitian eigendecompositions of those
+    projections, one stacked call per block size, and the translation eigenvalues are
     quotients of the coordinates. The complex basis, Q times the
     coordinates, is formed once at the end. Column j's A eigenvalue is
     sum_i |c_ij|^2 lambda_i, over its final coordinates c and its block's
     eigenvalues lambda, in O(dim k): A is never applied to the basis.
+
+    At even n each column's label (r, s) is checked against its cluster's
+    half-shift parities, which must be ((-1)^s, (-1)^r) in (x, y) order: an
+    O(dim) check of the labels that does not read the translation
+    quotients. At odd n there is no half-shift and no such check.
 
     Raises
     ------
     RefinementError
         A block stayed degenerate through all stages, which signals an extra
         symmetry this procedure does not know.
+    MomentumLabelError
+        A translation eigenvalue is off the unit circle or the 2*pi/n grid,
+        two columns share a label, or a label's parities disagree with its
+        cluster's half-shift class.
     """
     n, dim = family.n, family.dim
     base = sector_eigh(n)
-    values = base.values
-    starts = np.array([c.start for c in cluster_eigenvalues(values, HOPPING_MERGE_TOL).clusters])
+    # Sorted by half-shift class, then value: the levels lie in [-4, 4] and the
+    # class offsets 16 (2 tau + sigma) are 32 apart. At odd n the keys are the values.
+    tau, sigma = base.half_shifts.T
+    keys = base.values + 16.0 * (2 * tau + sigma)
+    by_class = np.argsort(keys, kind="stable")
+    clusters = cluster_eigenvalues(keys[by_class], HOPPING_MERGE_TOL).clusters
+    starts = np.array([c.start for c in clusters])
+    values, parities = base.values[by_class], base.half_shifts[by_class]
     # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
     # S_y (2, m, k, k), summed over a quarter of the sites.
     quarter = _quarter_sites(n, base.half_shifts)
-    tau, sigma = base.half_shifts.T
-    characters = np.stack([np.ones(dim), tau, sigma, tau * sigma], axis=1)
     groups = []
     for k, cols in _block_sizes(starts, dim):
         # Q is column-major: its transpose's rows are its columns, contiguous.
-        columns = base.vectors.T[cols]
-        projected = _translation_projections(columns, characters[cols], quarter)
+        columns = base.vectors.T[by_class[cols]]
+        projected = _translation_projections(columns, quarter)
         groups.append((k, cols, columns.transpose(0, 2, 1), projected))
     # The groups hold their own copies of Q's columns: free Q before the basis.
     del base
@@ -640,6 +646,16 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     applied = _apply_within_blocks(coords, [(cols, projected) for _, cols, _, projected in groups])
     sym_eigs = _rayleigh_quotients(coords, applied).T
     r, s = momentum_labels(sym_eigs, n)
+    # A momentum (r, s) is even or odd under the (x, y) half-shifts as
+    # ((-1)^s, (-1)^r); at odd n there is no half-shift to check.
+    if n % 2 == 0:
+        wrong = np.flatnonzero((parities != 1 - 2 * (np.stack([s, r], axis=1) % 2)).any(axis=1))
+        if wrong.size:
+            j = wrong[0]
+            raise MomentumLabelError(
+                f"column {j}: label ({r[j]}, {s[j]}) disagrees with its half-shift "
+                f"parities {tuple(parities[j].tolist())}"
+            )
     codes = r * n + s
     collisions = dim - np.unique(codes).size
     if collisions:

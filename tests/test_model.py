@@ -60,6 +60,17 @@ class TestLatticeSpec:
         with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
             LatticeSpec(n, 1.0, 0.2)
 
+    @pytest.mark.parametrize("alpha,t", [(1 + 2j, 0.2), (1.0, 0.3j)])
+    def test_rejects_non_real_parameters(self, alpha, t):
+        name = "alpha" if isinstance(alpha, complex) else "t"
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            LatticeSpec(4, alpha, t)
+
+    def test_accepts_numpy_float32_parameters(self):
+        spec = LatticeSpec(4, np.float32(1.5), np.float32(0.25))
+        assert spec == LatticeSpec(4, 1.5, 0.25)
+        assert type(spec.alpha) is float and type(spec.t) is float
+
     def test_accepts_numpy_integer_n(self):
         spec = LatticeSpec(np.int64(5), 1.0, 0.2)
         assert spec == LatticeSpec(5, 1.0, 0.2) and type(spec.n) is int

@@ -513,13 +513,25 @@ class TestRefine:
         # rounding cannot move a cluster boundary), and the greedy merge
         # chains no cluster beyond 178 columns (n = 90's largest either way)
         ring = 2.0 * np.cos(2.0 * math.pi * np.arange(n) / n)
-        levels = np.sort((ring[:, None] + ring).ravel())
+        grid = ring[:, None] + ring
+        levels = np.sort(grid.ravel())
         fine = cluster_eigenvalues(levels, 2e-9).clusters
         merged = cluster_eigenvalues(levels, HOPPING_MERGE_TOL).clusters
         if n <= 16 or n in (22, 30):
             assert merged == fine
         assert np.abs(np.diff(levels) - HOPPING_MERGE_TOL).min() > 1e-9
         assert max(map(len, merged)) <= 178
+        # refine clusters inside each half-shift class, (s mod 2, r mod 2) of
+        # the momentum (r, s) at even n and one class at odd n: the classes
+        # sit 16 apart, so the greedy merge never chains across them, and
+        # the keyed clusters are at most 89 columns at even n (n = 90) and
+        # 112 at odd n (n = 89)
+        r, s = np.divmod(np.arange(n * n), n)
+        classes = 2 * (s % 2) + r % 2 if n % 2 == 0 else np.zeros(n * n, dtype=int)
+        keyed = cluster_eigenvalues(np.sort(grid.ravel() + 16.0 * classes), HOPPING_MERGE_TOL)
+        if n % 2:
+            assert keyed.clusters == merged
+        assert max(map(len, keyed.clusters)) <= (89 if n % 2 == 0 else 112)
 
     @pytest.mark.parametrize("n", range(3, 91))
     def test_rotated_stage_separates_every_momentum(self, n):
@@ -653,24 +665,66 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_quarter_domain_projections_equal_whole_lattice_sums(self, n):
-        # Q_b^T S Q_b from the fundamental domain p, q < n/2, weighted by the
-        # columns' half-shift parities, against the sum over every site of Q
-        # times its translate (np.roll), taken pairwise along the sites so
-        # that the reference itself errs by O(log(dim) eps); at odd n the
-        # domain is the whole lattice
+        # Q_b^T S Q_b over clusters of A's columns of one half-shift class,
+        # from the fundamental domain p, q < n/2 scaled by 4, against the sum
+        # over every site of Q times its translate (np.roll), taken pairwise
+        # along the sites so that the reference itself errs by O(log(dim)
+        # eps); at odd n the domain is the whole lattice and every column is
+        # of the one class
         base = simdiag.sector_eigh(n)
-        starts = np.array([c.start for c in cluster_eigenvalues(base.values, HOPPING_MERGE_TOL).clusters])
+        tau, sigma = base.half_shifts.T
+        by_class = np.lexsort((base.values, 2 * tau + sigma))
+        keys = base.values[by_class] + 16.0 * (2 * tau + sigma)[by_class]
+        starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
         quarter = simdiag._quarter_sites(n, base.half_shifts)
         assert quarter.shape == (3, (n // 2 if n % 2 == 0 else n) ** 2)
-        tau, sigma = base.half_shifts.T
-        characters = np.stack([np.ones(n * n), tau, sigma, tau * sigma], axis=1)
         for _, cols in simdiag._block_sizes(starts, n * n):
-            columns = base.vectors.T[cols]
-            got = simdiag._translation_projections(columns, characters[cols], quarter)
+            parities = base.half_shifts[by_class[cols]]
+            assert (parities == parities[:, :1]).all()
+            columns = base.vectors.T[by_class[cols]]
+            got = simdiag._translation_projections(columns, quarter)
             for projected, axis in zip(got, (X_AXIS, Y_AXIS)):
                 shifted = np.roll(columns.reshape(*cols.shape, n, n), 1, axis=axis - 2)
                 products = columns[:, :, None] * shifted.reshape(columns.shape)[:, None]
                 assert np.abs(projected - products.sum(axis=-1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 30])
+    def test_first_stage_blocks_lie_in_one_half_shift_class(self, n, monkeypatch):
+        # every block the x-stage receives holds columns of one half-shift
+        # class, read from their momentum labels: (s mod 2, r mod 2); at
+        # n = 30 the largest block is 29 columns, half the 58 of one cluster
+        # of A's levels across the classes
+        engine, labelled = simdiag._refine_within_blocks, simdiag.momentum_labels
+        calls = []
+
+        def recorded(vectors, starts, applied, gap_tol):
+            calls.append(starts.copy())
+            return engine(vectors, starts, applied, gap_tol)
+
+        def labels(sym_eigs, n):
+            calls.append(labelled(sym_eigs, n))
+            return calls[-1]
+
+        monkeypatch.setattr(simdiag, "_refine_within_blocks", recorded)
+        monkeypatch.setattr(simdiag, "momentum_labels", labels)
+        simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, -0.7)))
+        starts, (r, s) = calls[0], calls[-1]
+        classes = 2 * (s % 2) + r % 2
+        blocks = np.split(classes, starts[1:])
+        assert all((block == block[0]).all() for block in blocks)
+        if n == 30:
+            assert max(map(len, blocks)) == 29
+
+    @pytest.mark.parametrize("n", [6, 12, 20, 30])
+    def test_half_shifts_act_on_the_basis_by_label_parity(self, n):
+        # q -> q + n/2 multiplies a momentum-(r, s) column by (-1)^s, and
+        # p -> p + n/2 by (-1)^r
+        basis = simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, -0.7)))
+        grid = basis.vectors.reshape(n, n, -1)
+        r, s = basis.labels.T
+        for axis, index in ((X_AXIS, s), (Y_AXIS, r)):
+            shifted = np.roll(grid, n // 2, axis=axis).reshape(n * n, -1)
+            assert np.abs(shifted - (1 - 2 * (index % 2)) * basis.vectors).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "alpha,t",
@@ -741,6 +795,20 @@ class TestRefine:
         monkeypatch.setattr(simdiag, "momentum_labels", colliding)
         with pytest.raises(MomentumLabelError, match="1 collisions"):
             simultaneous_basis_refine(family)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_label_off_its_half_shift_class_fails_loudly(self, n, monkeypatch):
+        # s + 1 keeps the labels a bijection but flips every column's
+        # x-parity (-1)^s against its cluster's half-shift class
+        labelled = simdiag.momentum_labels
+
+        def shifted(sym_eigs, n):
+            r, s = labelled(sym_eigs, n)
+            return r, (s + 1) % n
+
+        monkeypatch.setattr(simdiag, "momentum_labels", shifted)
+        with pytest.raises(MomentumLabelError, match="column 0: .* half-shift parities"):
+            simultaneous_basis_refine(build_family(LatticeSpec(n, 1.3, -0.7)))
 
     def test_unresolvable_gap_tol_fails_loudly(self, monkeypatch):
         family = build_family(LatticeSpec(3, 1.0, 0.2))
