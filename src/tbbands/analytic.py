@@ -14,14 +14,6 @@ import numpy as np
 from .model import LatticeSpec
 
 
-def _check_index(spec: LatticeSpec, idx) -> None:
-    r, s = idx
-    if not (float(r).is_integer() and float(s).is_integer()):
-        raise ValueError(f"momentum index {tuple(idx)} is not integral")
-    if not (0 <= r < spec.n and 0 <= s < spec.n):
-        raise ValueError(f"momentum index {tuple(idx)} out of range for n={spec.n}")
-
-
 def analytic_energies(spec: LatticeSpec) -> np.ndarray:
     """The (n, n) grid of energies, entry [r, s] alpha - 2t*(cos(2*pi*r/n) + cos(2*pi*s/n)).
 
@@ -48,24 +40,31 @@ def analytic_eigenvectors(spec: LatticeSpec, labels) -> np.ndarray:
 
 
 def label_codes(spec: LatticeSpec, labels) -> np.ndarray:
-    """Flat indices r*n + s of a sequence of index pairs or a (k, 2) array.
+    """Flat indices r*n + s of one index pair, a sequence of them or a (k, 2) array.
 
     They index the raveled :func:`analytic_energies` grid and the rows of the
-    2-D DFT of a basis on the site grid. Raises ValueError naming the first
-    label that is not integral (NaN and inf included) or out of range.
+    2-D DFT of a basis on the site grid. Raises ValueError naming the shape
+    of any other input, and naming the first label that is not integral (NaN
+    and inf included) or out of range.
     """
-    idx = np.asarray(labels, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(~((idx == np.round(idx)) & (idx >= 0) & (idx < spec.n)).all(axis=1))
+    idx = np.asarray(labels, dtype=float)
+    if idx.shape == (2,):
+        idx = idx[None]
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError(f"labels must be one (r, s) pair or a (k, 2) array, not of shape {idx.shape}")
+    integral = (np.isfinite(idx) & (idx == np.round(idx))).all(axis=1)
+    bad = np.flatnonzero(~(integral & ((idx >= 0) & (idx < spec.n)).all(axis=1)))
     if bad.size:
-        _check_index(spec, [int(x) if x.is_integer() else x for x in idx[bad[0]].tolist()])
+        j = bad[0]
+        label = tuple(int(x) if x.is_integer() else x for x in idx[j].tolist())
+        problem = f"out of range for n={spec.n}" if integral[j] else "is not integral"
+        raise ValueError(f"momentum index {label} {problem}")
     return (idx[:, 0] * spec.n + idx[:, 1]).astype(int)
 
 
 def analytic_eigenvector(spec: LatticeSpec, idx) -> np.ndarray:
     """The unit eigenvector at index (r, s): :func:`analytic_eigenvectors` of one label."""
-    _check_index(spec, idx)
-    r, s = idx
-    return _plane_waves(_ring_modes(spec.n, r), _ring_modes(spec.n, s)).ravel()
+    return analytic_eigenvectors(spec, [idx])[:, 0]
 
 
 def _ring_modes(n: int, k) -> np.ndarray:

@@ -36,14 +36,21 @@ def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandD
     """Assemble a BandData table from labelled energies, rows in label order.
 
     ``labels`` is a (k, 2) integer array, row j the (r, s) of ``energies[j]``.
-    Raises ValueError naming both lengths when they differ.
+    Raises ValueError naming both lengths when they differ, and naming the
+    first label that repeats an earlier one.
     """
     codes = label_codes(spec, labels)
     energies = np.asarray(energies, dtype=float)
     if energies.shape != codes.shape:
         raise ValueError(f"{codes.size} labels for {energies.size} energies")
     order = np.argsort(codes, kind="stable")
-    r, s = np.divmod(codes[order], spec.n)
+    ordered = codes[order]
+    r, s = np.divmod(ordered, spec.n)
+    # The stable sort puts each label's first row first: every later one repeats.
+    repeats = order[1:][np.diff(ordered) == 0]
+    if repeats.size:
+        j = repeats.min()
+        raise ValueError(f"label {divmod(int(codes[j]), spec.n)} of row {j} repeats an earlier row's")
     return BandData(
         r=r,
         s=s,
@@ -89,8 +96,9 @@ def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
     The eigenvalues alpha - t lambda of H = alpha I - t A, from the symmetry
     blocks of the hopping operator A (:func:`~tbbands.simdiag.sector_blocks`)
     that the refine method starts from; no eigenvector is lifted. The values
-    are stable-sorted first, as :func:`~tbbands.simdiag.sector_eigh` sorts
-    them, so every bit is that of its sorted values.
+    are stable-sorted before the energies are formed and sorted, so every bit
+    is that of :func:`~tbbands.simdiag.sector_eigh`'s values treated the same
+    way.
     """
     hopping = np.sort(sector_blocks(build_family(spec).n)[0], kind="stable")
     return np.sort(spec.alpha - spec.t * hopping)

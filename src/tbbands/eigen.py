@@ -93,17 +93,22 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
 def cluster_eigenvalues(values: np.ndarray, gap_tol: float) -> EigenvalueClusters:
     """Greedy gap partition of an ascending value vector.
 
-    Adjacent values separated by more than ``gap_tol`` start a new cluster;
-    within a cluster every adjacent gap is <= ``gap_tol``.
+    The first value opens a cluster, and each value more than ``gap_tol``
+    above its predecessor opens another; within a cluster every adjacent gap
+    is <= ``gap_tol``, so an infinite tolerance gives one cluster. Raises
+    ValueError for a tolerance that is not > 0 (NaN included) and for values
+    that are not finite or not ascending.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("values must be a 1-d vector")
-    if gap_tol <= 0:
+    if not gap_tol > 0:
         raise ValueError(f"gap_tol must be > 0 (got {gap_tol})")
-    if values.size > 1 and np.any(np.diff(values) < 0):
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    gaps = np.diff(values)
+    if np.any(gaps < 0):
         raise ValueError("values must be sorted ascending")
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap_tol)
-    stops = np.append(starts[1:], values.size)
-    clusters = [range(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
+    bounds = [0, *(np.flatnonzero(gaps > gap_tol) + 1).tolist(), values.size]
+    clusters = [range(a, b) for a, b in zip(bounds, bounds[1:])] if values.size else []
     return EigenvalueClusters(clusters=clusters)

@@ -35,9 +35,10 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   no momentum: each block's solver still returns an arbitrary basis inside
   its degenerate subspaces (the (r, s) and (s, r) modes, say), and a cluster
   of A spans several blocks. The half-shifts commute with the translations,
-  and their parities are those of the momentum components, so A's levels
-  are clustered inside each parity class, and S_x and S_y are projected from
-  a quarter of the lattice, the half-shifts' fundamental domain. Every label
+  and their parities are those of the momentum components, so A's
+  eigenpairs are sorted once, by parity class, then value, and clustered in
+  that order, inside each class, and S_x and S_y are projected from a
+  quarter of the lattice, the half-shifts' fundamental domain. Every label
   comes from the translation stages, and is checked against its class.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
@@ -70,7 +71,7 @@ from .analytic import (
     analytic_eigenvectors,
     label_codes,
 )
-from .eigen import EigenDecomposition, cluster_eigenvalues, default_gap_tol, eig_hermitian
+from .eigen import cluster_eigenvalues, default_gap_tol, eig_hermitian
 from .model import (
     X_AXIS,
     Y_AXIS,
@@ -327,18 +328,6 @@ def _swap_unfold(plus: np.ndarray, minus: np.ndarray, pairs) -> np.ndarray:
     return coords
 
 
-@dataclass(frozen=True, eq=False)
-class SectorEigh(EigenDecomposition):
-    """An eigendecomposition of A whose columns have definite half-shift parities.
-
-    ``half_shifts[j]`` holds column j's parities (+1 or -1) under the
-    half-shifts q -> q + n/2 and p -> p + n/2, in the (x, y) order of
-    ``SymBasis.sym_eigs``; both are 0 at odd n, where there is no half-shift.
-    """
-
-    half_shifts: np.ndarray
-
-
 def _kronecker_sum(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """a (x) I + I (x) b, over the coordinates (i, j) at row i * len(b) + j.
 
@@ -370,10 +359,12 @@ def sector_blocks(n: int):
     on its own: its eigenvectors would be the ring's cosine and sine modes,
     the oracle's.
 
-    Returns A's dim eigenvalues, unsorted: every block's, then each f < g
-    block's again for its mirror; the factors and their half-shift parities;
-    the factor pairs f <= g; and each block's (values, vectors) in pair
-    order, the + half first where f = g.
+    Returns A's dim eigenvalues and each one's (x, y) half-shift parities
+    (those of its factors on q and on p; 0 at odd n), unsorted: every pair's
+    columns, then each f < g pair's again for its mirror; the ring factors;
+    and one record (f, g, values, coords) per factor pair f <= g, coords
+    the pair's eigenvectors over F_f (x) F_g. Where f = g the two halves are
+    unfolded into one record (:func:`_swap_unfold`), the + half first.
     """
     factors, taus = ring_factors(n)
     # F_f^T P F_f for every f at once: P couples no two factors.
@@ -383,74 +374,67 @@ def sector_blocks(n: int):
     bounds = list(itertools.accumulate([f.shape[1] for f in factors], initial=0))
     hops = [hop[a:b, a:b] for a, b in zip(bounds, bounds[1:])]
     eye = np.eye(max(map(len, hops)))
-    # The factor pairs f <= g, each with its blocks: F_f (x) F_g, or for f = g
-    # the halves of _swap_fold.
+    # The factor pairs f <= g, each with the indices of its blocks: F_f (x) F_g,
+    # or for f = g the halves of _swap_fold.
     pairs = [(f, g) for f in range(len(factors)) for g in range(f, len(factors))]
-    blocks, mirrors = [], []
+    blocks, members = [], []
     for f, g in pairs:
         kron = _kronecker_sum(hops[f], hops[g], eye)
-        if f == g:
-            blocks += _swap_fold(kron, _swap_pairs(len(hops[f])))
-        else:
-            mirrors.append(len(blocks))
-            blocks.append(kron)
+        halves = _swap_fold(kron, _swap_pairs(len(hops[f]))) if f == g else [kron]
+        members.append(range(len(blocks), len(blocks) + len(halves)))
+        blocks += halves
     sizes = [len(b) for b in blocks]
     solved = [(np.zeros(0), np.zeros((0, 0)))] * len(blocks)
     for k in sorted(set(sizes) - {0}):
-        members = [i for i, size in enumerate(sizes) if size == k]
-        sub = eig_hermitian(np.stack([blocks[i] for i in members]))
-        for i, values, vectors in zip(members, sub.values, sub.vectors):
+        same = [i for i, size in enumerate(sizes) if size == k]
+        sub = eig_hermitian(np.stack([blocks[i] for i in same]))
+        for i, values, vectors in zip(same, sub.values, sub.vectors):
             solved[i] = (values, vectors)
-    values = np.concatenate([v for v, _ in solved] + [solved[i][0] for i in mirrors])
-    return values, factors, taus, pairs, solved
+    records = []
+    for (f, g), indices in zip(pairs, members):
+        values, vectors = zip(*(solved[i] for i in indices))
+        coords = _swap_unfold(*vectors, _swap_pairs(len(hops[f]))) if f == g else vectors[0]
+        records.append((f, g, np.concatenate(values), coords))
+    # The runs of columns, each with its factors on q and on p: every pair's,
+    # then each f < g pair's mirror, whose factors trade places.
+    runs = [(g, f, v) for f, g, v, _ in records] + [(f, g, v) for f, g, v, _ in records if f < g]
+    values = np.concatenate([v for _, _, v in runs])
+    classes = [(taus[x], taus[y]) for x, y, _ in runs]
+    parities = np.repeat(classes, [len(v) for _, _, v in runs], axis=0)
+    return values, parities, factors, records
 
 
-def sector_eigh(n: int) -> SectorEigh:
+def sector_eigh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of the hopping operator A through its symmetry blocks.
 
-    The blocks of :func:`sector_blocks` are unfolded where f = g
-    (:func:`_swap_unfold`), their values merged by one stable sort, and
-    each block's lifted vectors written straight into its sorted columns,
-    and an f < g block's into its mirror's with the site grid transposed.
-    Returns ascending values, real orthonormal (dim, dim) vectors,
-    column-major, as a dense eigensolve of the whole A would, in a different
-    basis inside each degenerate eigenspace, and each column's half-shift
-    parities, those of its block's factors.
+    The columns of :func:`sector_blocks` are put in one order, by half-shift
+    class 2 tau + sigma of their (x, y) parities (tau, sigma), then by value,
+    with one stable sort, and each pair's vectors are lifted once and written
+    straight into their sorted columns, and an f < g pair's into its mirror's
+    with the site grid transposed. Returns the values, real orthonormal
+    (dim, dim) vectors, column-major, which diagonalize A as a dense
+    eigensolve of the whole A would, in a different basis inside each
+    degenerate eigenspace, and each column's parities, those of its pair's
+    factors; at odd n every parity is 0 and the order is that of the values.
     """
     dim = n * n
-    values, factors, taus, pairs, solved = sector_blocks(n)
-    # Per pair: its coordinates over F_f (x) F_g, from both halves where f = g.
-    vectors = iter([v for _, v in solved])
-    sectors = [
-        _swap_unfold(next(vectors), next(vectors), _swap_pairs(factors[f].shape[1]))
-        if f == g
-        else next(vectors)
-        for f, g in pairs
-    ]
-    order = np.argsort(values, kind="stable")
+    values, parities, factors, records = sector_blocks(n)
+    order = np.lexsort((values, 2 * parities[:, 0] + parities[:, 1]))
     position = np.empty_like(order)
     position[order] = np.arange(dim)
-    # Written column by column into the rows of the transpose, contiguously;
-    # a column's half-shift parities (x, y) are those of its factors on q and p.
+    # Written column by column into the rows of the transpose, contiguously.
     columns = np.empty((dim, n, n))
-    half_shifts = np.empty((dim, 2), dtype=int)
-    start, mirror = 0, sum(coords.shape[1] for coords in sectors)
-    for (f, g), coords in zip(pairs, sectors):
-        m = coords.shape[1]
+    start, mirror = 0, sum(len(v) for _, _, v, _ in records)
+    for f, g, pair_values, coords in records:
+        m = len(pair_values)
         a, b = factors[f], factors[g]
         lifted = b @ (a @ coords.reshape(a.shape[1], -1)).reshape(n, b.shape[1], m)
-        dest = position[start : start + m]
-        columns[dest] = lifted.transpose(2, 0, 1)
-        half_shifts[dest] = taus[g], taus[f]
+        columns[position[start : start + m]] = lifted.transpose(2, 0, 1)
         start += m
         if f != g:
-            dest = position[mirror : mirror + m]
-            columns[dest] = lifted.transpose(2, 1, 0)
-            half_shifts[dest] = taus[f], taus[g]
+            columns[position[mirror : mirror + m]] = lifted.transpose(2, 1, 0)
             mirror += m
-    return SectorEigh(
-        values=values[order], vectors=columns.reshape(dim, dim).T, half_shifts=half_shifts
-    )
+    return values[order], columns.reshape(dim, dim).T, parities[order]
 
 
 def _block_sizes(starts: np.ndarray, dim: int, min_size: int = 1):
@@ -536,11 +520,12 @@ def _assemble(
     return SymBasis(vectors=rows.T, energies=energies, labels=labels, sym_eigs=sym_eigs)
 
 
-def _quarter_sites(n: int, half_shifts: np.ndarray) -> np.ndarray:
+def _quarter_sites(n: int, parities: np.ndarray) -> np.ndarray:
     """The sites of the fundamental domain p, q < n/2, and their images under
     S_x and S_y, as a (3, sites) array: (S Q)[s] = Q[image of s]. Where every
-    column's ``half_shifts`` are 0, at odd n, the domain is the whole lattice."""
-    half = n // 2 if half_shifts.any() else n
+    column's half-shift ``parities`` are 0, at odd n, the domain is the whole
+    lattice."""
+    half = n // 2 if parities.any() else n
     sites = np.arange(n * n)
     images = np.stack([sites, translate(sites, n, X_AXIS), translate(sites, n, Y_AXIS)])
     return images.reshape(3, n, n)[:, :half, :half].reshape(3, -1)
@@ -549,13 +534,13 @@ def _quarter_sites(n: int, half_shifts: np.ndarray) -> np.ndarray:
 def _translation_projections(columns: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """Q_b^T S_x Q_b and Q_b^T S_y Q_b, (2, m, k, k), for m blocks of k columns.
 
-    ``columns`` is the (m, k, dim) stack of the blocks' columns of a
-    :class:`SectorEigh`, each block of one half-shift class, and ``quarter``
-    is :func:`_quarter_sites`. The translations commute with the half-shifts,
-    so the summand Q[s, i] (S Q)[s, j] is the same at every image of site s
-    under the half-shifts: each projection is the sum over the fundamental
-    domain times dim / |domain|, 4 at even n and 1 at odd n, exact. The sums
-    run along the sites, the contiguous axis.
+    ``columns`` is the (m, k, dim) stack of the blocks' columns of
+    :func:`sector_eigh`'s eigenvectors, each block of one half-shift class,
+    and ``quarter`` is :func:`_quarter_sites`. The translations commute with
+    the half-shifts, so the summand Q[s, i] (S Q)[s, j] is the same at every
+    image of site s under the half-shifts: each projection is the sum over
+    the fundamental domain times dim / |domain|, 4 at even n and 1 at odd n,
+    exact. The sums run along the sites, the contiguous axis.
     """
     rows = np.take(columns, quarter, axis=-1)
     projections = rows[:, :, 0] @ rows[:, :, 1:].transpose(2, 0, 3, 1)
@@ -572,11 +557,12 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     of the vectors are the same for every (alpha, t) at one n, t = 0 included.
 
     Stages: (1) diagonalize the real A in its symmetry blocks
-    (:func:`sector_eigh`) and cluster its eigenvalues with HOPPING_MERGE_TOL
-    inside each half-shift class, in one pass over A's columns sorted by
-    class, then value; (2) inside every cluster diagonalize the projection
-    of the phase-rotated Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2,
-    phi = pi/(2n), whose eigenvalue fixes the x-translation eigenvalue;
+    (:func:`sector_eigh`, whose columns come sorted by half-shift class, then
+    value) and cluster its eigenvalues with HOPPING_MERGE_TOL inside each
+    class, in one pass over the columns in that order; (2) inside every
+    cluster diagonalize the projection of the phase-rotated Hermitian part
+    (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose eigenvalue
+    fixes the x-translation eigenvalue;
     (3) inside remaining sub-clusters the same for S_y. Both stages cluster
     with STAGE_GAP_TOL; the partition is carried as ``starts``, each block's
     first column. After the eigensolve of A every stage works in the
@@ -590,10 +576,11 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     sum_i |c_ij|^2 lambda_i, over its final coordinates c and its block's
     eigenvalues lambda, in O(dim k): A is never applied to the basis.
 
-    At even n each column's label (r, s) is checked against its cluster's
-    half-shift parities, which must be ((-1)^s, (-1)^r) in (x, y) order: an
-    O(dim) check of the labels that does not read the translation
-    quotients. At odd n there is no half-shift and no such check.
+    Each column's label (r, s) is checked against its cluster's half-shift
+    parities, in (x, y) order: a parity of the opposite sign to
+    ((-1)^s, (-1)^r) is an error. This O(dim) check of the labels does not
+    read the translation quotients. At odd n there is no half-shift, every
+    parity is 0 and none disagrees.
 
     Raises
     ------
@@ -606,26 +593,23 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
         cluster's half-shift class.
     """
     n, dim = family.n, family.dim
-    base = sector_eigh(n)
-    # Sorted by half-shift class, then value: the levels lie in [-4, 4] and the
-    # class offsets 16 (2 tau + sigma) are 32 apart. At odd n the keys are the values.
-    tau, sigma = base.half_shifts.T
-    keys = base.values + 16.0 * (2 * tau + sigma)
-    by_class = np.argsort(keys, kind="stable")
-    clusters = cluster_eigenvalues(keys[by_class], HOPPING_MERGE_TOL).clusters
-    starts = np.array([c.start for c in clusters])
-    values, parities = base.values[by_class], base.half_shifts[by_class]
+    values, vectors, parities = sector_eigh(n)
+    # The columns come sorted by half-shift class, then value: the levels lie in
+    # [-4, 4] and the class offsets 16 (2 tau + sigma) are 32 apart, so the keys
+    # ascend and no cluster spans two classes. At odd n the keys are the values.
+    keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
+    starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
     # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
     # S_y (2, m, k, k), summed over a quarter of the sites.
-    quarter = _quarter_sites(n, base.half_shifts)
+    quarter = _quarter_sites(n, parities)
     groups = []
     for k, cols in _block_sizes(starts, dim):
         # Q is column-major: its transpose's rows are its columns, contiguous.
-        columns = base.vectors.T[by_class[cols]]
+        columns = vectors.T[cols]
         projected = _translation_projections(columns, quarter)
         groups.append((k, cols, columns.transpose(0, 2, 1), projected))
     # The groups hold their own copies of Q's columns: free Q before the basis.
-    del base
+    del vectors
     # Block j's coordinates in its own columns of Q start as the identity.
     sizes = np.diff(starts, append=dim)
     first = np.repeat(starts, sizes)
@@ -647,15 +631,15 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     sym_eigs = _rayleigh_quotients(coords, applied).T
     r, s = momentum_labels(sym_eigs, n)
     # A momentum (r, s) is even or odd under the (x, y) half-shifts as
-    # ((-1)^s, (-1)^r); at odd n there is no half-shift to check.
-    if n % 2 == 0:
-        wrong = np.flatnonzero((parities != 1 - 2 * (np.stack([s, r], axis=1) % 2)).any(axis=1))
-        if wrong.size:
-            j = wrong[0]
-            raise MomentumLabelError(
-                f"column {j}: label ({r[j]}, {s[j]}) disagrees with its half-shift "
-                f"parities {tuple(parities[j].tolist())}"
-            )
+    # ((-1)^s, (-1)^r); a parity disagrees where it has the opposite sign, so
+    # the 0 of odd n, where there is no half-shift, never does.
+    wrong = np.flatnonzero((parities == 2 * (np.stack([s, r], axis=1) % 2) - 1).any(axis=1))
+    if wrong.size:
+        j = wrong[0]
+        raise MomentumLabelError(
+            f"column {j}: label ({r[j]}, {s[j]}) disagrees with its half-shift "
+            f"parities {tuple(parities[j].tolist())}"
+        )
     codes = r * n + s
     collisions = dim - np.unique(codes).size
     if collisions:
@@ -669,12 +653,8 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     position[order] = np.arange(dim)
     rows = np.empty((dim, dim), dtype=complex)
     for k, cols, q, _ in groups:
-        dest = position[cols]
-        if k == 1:
-            rows[dest[:, 0]] = q[:, :, 0]
-        else:
-            c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))
-            rows[dest] = (q @ c.view(float)).view(complex).transpose(0, 2, 1)
+        c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))
+        rows[position[cols]] = (q @ c.view(float)).view(complex).transpose(0, 2, 1)
     # Column j's hopping eigenvalue is sum_i |c_ij|^2 lambda_i over its block's
     # values lambda; the coordinate rows past a block's size are zero.
     block_values = values[np.minimum(first + np.arange(len(coords))[:, None], dim - 1)]
@@ -911,14 +891,18 @@ def verify_basis(
     n <= 4 from one :func:`~tbbands.analytic.analytic_eigenvector` call per
     column. Both give the same bits. The maxima propagate NaN: a NaN entry in
     the basis gives NaN residuals, orthogonality defect and entrywise error.
-    Raises ValueError naming the first field whose shape does not fit the
-    family.
+    Raises ValueError if ``spec`` is not the family's, naming the first field
+    whose shape does not fit the family, and if the energies are complex.
     """
     n, dim = family.n, family.dim
+    if spec != family.spec:
+        raise ValueError(f"spec {spec} is not the family's {family.spec}")
     shapes = {"vectors": (dim, dim), "energies": (dim,), "labels": (dim, 2), "sym_eigs": (dim, 2)}
     for name, want in shapes.items():
         if np.shape(getattr(basis, name)) != want:
             raise ValueError(f"basis {name} has shape {np.shape(getattr(basis, name))}, not {want}")
+    if np.iscomplexobj(basis.energies):
+        raise ValueError("basis energies are complex; they must be real")
     # One eigenvector per contiguous row whatever the caller's layout, so that
     # no metric depends on it; the solvers' bases are already laid out so.
     rows = np.ascontiguousarray(basis.vectors.T, dtype=complex)

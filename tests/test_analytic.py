@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import mpmath
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbbands.analytic import analytic_energies, analytic_eigenvector, analytic_eigenvectors
+from tbbands.analytic import (
+    analytic_energies,
+    analytic_eigenvector,
+    analytic_eigenvectors,
+    label_codes,
+)
 from tbbands.bands import analytic_dispersion
 from tbbands.model import LatticeSpec
 
@@ -168,6 +174,15 @@ class TestEigenvectors:
         integral = all(float(x).is_integer() for x in bad)
         with pytest.raises(ValueError, match="out of range" if integral else "is not integral"):
             analytic_eigenvectors(LatticeSpec(4, 1.0, 0.2), [(1, 1), bad])
+
+
+class TestLabelCodes:
+    @pytest.mark.parametrize("labels", [np.zeros((2, 3)), [0, 1, 2, 3]])
+    def test_rejects_other_shapes(self, labels):
+        # reshape(-1, 2) once re-paired the numbers: three codes, and [1, 11]
+        shape = np.shape(labels)
+        with pytest.raises(ValueError, match=rf"not of shape {re.escape(str(shape))}$"):
+            label_codes(LatticeSpec(4, 1.0, 0.2), labels)
 
 
 class TestDispersionPoint:

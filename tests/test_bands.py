@@ -32,6 +32,12 @@ class TestBandFromEnergies:
         with pytest.raises(ValueError, match=f"^{k_labels} labels for {k_energies} energies$"):
             band_from_energies(LatticeSpec(3, 1.0, 0.2), labels, np.zeros(k_energies))
 
+    def test_rejects_repeated_label(self):
+        # compare_to_analytic would fill one cell and read 0 at the 15 others
+        labels = [(0, 0)] * 16
+        with pytest.raises(ValueError, match=r"^label \(0, 0\) of row 1 repeats an earlier row's$"):
+            band_from_energies(LatticeSpec(4, 1.0, 0.2), labels, np.zeros(16))
+
 
 class TestComputeDispersion:
     def test_n8_staircase(self):
@@ -117,8 +123,9 @@ class TestComputeSpectrum:
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_is_sector_eigh_values_bit_for_bit(self, n):
-        # the two readers of the symmetry blocks keep the same values
-        values = sector_eigh(n).values
+        # the two readers of the symmetry blocks keep the same values; the
+        # refine method's come in class order, and are sorted here by value
+        values = np.sort(sector_eigh(n)[0])
         for alpha, t in SPECTRUM_PARAMETERS:
             got = compute_spectrum(LatticeSpec(n, alpha, t))
             want = np.sort(alpha - t * values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,18 @@ class TestClusterEigenvalues:
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
             cluster_eigenvalues(np.array([1.0, 2.0]), 0.0)
+
+    def test_infinite_gap_gives_one_cluster(self):
+        got = cluster_eigenvalues(np.array([0.0, 1.0]), math.inf)
+        assert got.clusters == [range(0, 2)]
+
+    def test_rejects_nan_gap(self):
+        with pytest.raises(ValueError, match=r"^gap_tol must be > 0 \(got nan\)$"):
+            cluster_eigenvalues(np.array([0.0, 1.0]), math.nan)
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            cluster_eigenvalues(np.array([0.0, math.nan, 1.0]), 1e-9)
 
     @settings(max_examples=60)
     @given(

@@ -346,29 +346,53 @@ class TestSectorEigh:
         # alpha = 0, t = -1; its vectors diagonalize the H of every (alpha, t)
         # with the eigenvalues alpha - t lambda
         a = dense_hopping(n)
-        got = simdiag.sector_eigh(n)
+        values, v, parities = simdiag.sector_eigh(n)
         want = eig_hermitian(a)
         scale = np.linalg.norm(a)
-        assert got.vectors.shape == (n * n, n * n) and got.vectors.dtype == np.float64
-        assert np.abs(got.values - want.values).max() <= 1e-13 * scale
+        assert v.shape == (n * n, n * n) and v.dtype == np.float64
+        assert np.abs(np.sort(values) - want.values).max() <= 1e-13 * scale
         tol = default_gap_tol(a)
         assert (
-            cluster_eigenvalues(got.values, tol).clusters
+            cluster_eigenvalues(np.sort(values), tol).clusters
             == cluster_eigenvalues(want.values, tol).clusters
         )
-        v = got.vectors
+        # the columns run by half-shift class, then value: each class is one
+        # contiguous, ascending run
+        classes = 2 * parities[:, 0] + parities[:, 1]
+        runs = np.split(values, np.flatnonzero(np.diff(classes)) + 1)
+        assert len(runs) == np.unique(classes).size
+        assert all(np.all(np.diff(run) >= 0) for run in runs)
         assert np.abs(v.T @ v - np.eye(n * n)).max() <= 1e-13
-        assert np.abs(a @ v - v * got.values).max() <= 1e-13 * scale
+        assert np.abs(a @ v - v * values).max() <= 1e-13 * scale
         h = dense_h(LatticeSpec(n, alpha, t))
-        energies = alpha - t * got.values
+        energies = alpha - t * values
         assert np.abs(h @ v - v * energies).max() <= 1e-13 * np.linalg.norm(h)
 
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_order_is_the_value_sort_then_the_class_sort(self, n):
+        # one sort, by class then value, gives the order of a stable sort by
+        # value followed by a stable sort of value + 16 (2 tau + sigma): the
+        # key is monotone in the value inside a class, and where it rounds two
+        # values together the second stable sort keeps the first's order
+        values, parities, factors, records = simdiag.sector_blocks(n)
+        by_value = np.argsort(values, kind="stable")
+        tau, sigma = parities[by_value].T
+        order = by_value[np.argsort(values[by_value] + 16.0 * (2 * tau + sigma), kind="stable")]
+        # every pair's columns lifted, then each f < g pair's mirrored
+        lifted = [np.kron(factors[f], factors[g]) @ coords for f, g, _, coords in records]
+        grids = [q.reshape(n, n, -1) for (f, g, _, _), q in zip(records, lifted) if f < g]
+        lifted += [grid.transpose(1, 0, 2).reshape(n * n, -1) for grid in grids]
+        got_values, got_vectors, got_parities = simdiag.sector_eigh(n)
+        assert np.array_equal(got_values.view(np.uint64), values[order].view(np.uint64))
+        assert np.array_equal(got_parities, parities[order])
+        assert np.abs(got_vectors - np.hstack(lifted)[:, order]).max() <= 1e-15
+
     @staticmethod
-    def swap_images(n, got):
+    def swap_images(n, vectors):
         """Each column's reflection parities on the p and q axes (True: odd),
         and the columns under the swap (p, q) -> (q, p)."""
         dim = n * n
-        grid = got.vectors.reshape(n, n, dim)
+        grid = vectors.reshape(n, n, dim)
         flip = (-np.arange(n)) % n
         odd = []
         for axis in (0, 1):
@@ -380,7 +404,7 @@ class TestSectorEigh:
         return odd[0], odd[1], grid.transpose(1, 0, 2).reshape(dim, dim)
 
     @staticmethod
-    def half_shift_parities(n, got):
+    def half_shift_parities(n, vectors):
         """Each column's parities (+1 or -1) under the half-shifts q -> q + n/2
         and p -> p + n/2, as a (dim, 2) array, read off the vectors; 0 at odd n.
         Every entry must equal its image exactly (a float comparison, so +0
@@ -388,7 +412,7 @@ class TestSectorEigh:
         dim = n * n
         if n % 2:
             return np.zeros((dim, 2), dtype=int)
-        grid = got.vectors.reshape(n, n, dim)
+        grid = vectors.reshape(n, n, dim)
         parities = []
         for axis in (1, 0):
             shifted = np.roll(grid, n // 2, axis=axis)
@@ -404,12 +428,12 @@ class TestSectorEigh:
         # F_g (x) F_f; the diagonal products F_f (x) F_f are the columns of
         # equal reflection parities and equal half-shift parities on the two
         # axes, and each of their columns is swap-even or swap-odd
-        got = simdiag.sector_eigh(n)
-        odd_p, odd_q, swapped = self.swap_images(n, got)
-        tau = self.half_shift_parities(n, got)
+        _, vectors, _ = simdiag.sector_eigh(n)
+        odd_p, odd_q, swapped = self.swap_images(n, vectors)
+        tau = self.half_shift_parities(n, vectors)
         diagonal = (odd_p == odd_q) & (tau[:, 0] == tau[:, 1])
-        plus = np.all(swapped == got.vectors, axis=0)
-        minus = np.all(swapped == -got.vectors, axis=0)
+        plus = np.all(swapped == vectors, axis=0)
+        minus = np.all(swapped == -vectors, axis=0)
         assert np.all((plus ^ minus)[diagonal])
         sizes = [f.shape[1] for f in ring_factors(n)[0]]
         assert np.count_nonzero(plus & diagonal) == sum(m * (m + 1) // 2 for m in sizes)
@@ -417,24 +441,24 @@ class TestSectorEigh:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10, 16, 17, 30])
     def test_columns_have_the_reported_half_shift_parities(self, n):
-        got = simdiag.sector_eigh(n)
-        assert np.array_equal(got.half_shifts, self.half_shift_parities(n, got))
+        _, vectors, parities = simdiag.sector_eigh(n)
+        assert np.array_equal(parities, self.half_shift_parities(n, vectors))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
     def test_oe_is_eo_under_the_swap_bit_for_bit(self, n):
-        got = simdiag.sector_eigh(n)
-        odd_p, odd_q, swapped = self.swap_images(n, got)
+        values, vectors, _ = simdiag.sector_eigh(n)
+        odd_p, odd_q, swapped = self.swap_images(n, vectors)
         eo = np.flatnonzero(~odd_p & odd_q)
         oe = np.flatnonzero(odd_p & ~odd_q)
-        columns = {got.vectors[:, j].tobytes(): j for j in oe}
+        columns = {vectors[:, j].tobytes(): j for j in oe}
         partner = [columns[swapped[:, j].tobytes()] for j in eo]
         assert sorted(partner) == oe.tolist()
-        assert np.array_equal(got.values[partner].view(np.uint64), got.values[eo].view(np.uint64))
+        assert np.array_equal(values[partner].view(np.uint64), values[eo].view(np.uint64))
 
     def test_deterministic(self):
         first, second = simdiag.sector_eigh(11), simdiag.sector_eigh(11)
-        assert np.array_equal(first.values, second.values)
-        assert np.array_equal(first.vectors, second.vectors)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 class TestRefine:
@@ -671,17 +695,14 @@ class TestRefine:
         # along the sites so that the reference itself errs by O(log(dim)
         # eps); at odd n the domain is the whole lattice and every column is
         # of the one class
-        base = simdiag.sector_eigh(n)
-        tau, sigma = base.half_shifts.T
-        by_class = np.lexsort((base.values, 2 * tau + sigma))
-        keys = base.values[by_class] + 16.0 * (2 * tau + sigma)[by_class]
+        values, vectors, parities = simdiag.sector_eigh(n)
+        keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
         starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
-        quarter = simdiag._quarter_sites(n, base.half_shifts)
+        quarter = simdiag._quarter_sites(n, parities)
         assert quarter.shape == (3, (n // 2 if n % 2 == 0 else n) ** 2)
         for _, cols in simdiag._block_sizes(starts, n * n):
-            parities = base.half_shifts[by_class[cols]]
-            assert (parities == parities[:, :1]).all()
-            columns = base.vectors.T[by_class[cols]]
+            assert (parities[cols] == parities[cols][:, :1]).all()
+            columns = vectors.T[cols]
             got = simdiag._translation_projections(columns, quarter)
             for projected, axis in zip(got, (X_AXIS, Y_AXIS)):
                 shifted = np.roll(columns.reshape(*cols.shape, n, n), 1, axis=axis - 2)
@@ -985,6 +1006,22 @@ class TestVerifyBasis:
             for wrong in (field[:, :-1] if name == "vectors" else field[:-1], field[:1]):
                 with pytest.raises(ValueError, match=f"basis {name} has shape"):
                     verify_basis(replace(basis, **{name: wrong}), family, spec)
+
+    @pytest.mark.parametrize("other", [LatticeSpec(4, 5.0, 0.2), LatticeSpec(5, 1.0, 0.2)])
+    def test_rejects_another_spec(self, other):
+        # the metrics would compare against the closed form of another spec:
+        # another alpha read max_eigenvalue_error 4.0, another n an IndexError
+        family, basis = analytic_sym_basis(LatticeSpec(4, 1.0, 0.2))
+        with pytest.raises(ValueError, match="is not the family's"):
+            verify_basis(basis, family, other)
+
+    def test_rejects_complex_energies(self):
+        # their imaginary parts would be dropped with a ComplexWarning
+        spec = LatticeSpec(4, 1.0, 0.2)
+        family, basis = analytic_sym_basis(spec)
+        energies = basis.energies + 0j
+        with pytest.raises(ValueError, match="energies are complex"):
+            verify_basis(replace(basis, energies=energies), family, spec)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_real_orthogonality_defect_equals_complex_product(self, n):
