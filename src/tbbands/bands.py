@@ -36,10 +36,12 @@ def band_from_energies(spec: LatticeSpec, labels, energies: np.ndarray) -> BandD
     """Assemble a BandData table from labelled energies, rows in label order.
 
     ``labels`` is a (k, 2) integer array, row j the (r, s) of ``energies[j]``.
-    Raises ValueError naming both lengths when they differ, and naming the
-    first label that repeats an earlier one.
+    Raises ValueError if the energies are complex, naming both lengths when
+    they differ, and naming the first label that repeats an earlier one.
     """
     codes = label_codes(spec, labels)
+    if np.iscomplexobj(energies):
+        raise ValueError("energies are complex; they must be real")
     energies = np.asarray(energies, dtype=float)
     if energies.shape != codes.shape:
         raise ValueError(f"{codes.size} labels for {energies.size} energies")

@@ -27,9 +27,10 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   the half-shifts at even n, split each ring into factors (two at odd n,
   four at even n); A maps each product of two ring factors into itself, as
   the Kronecker sum of the two rings' hoppings, and the swap maps F (x) G onto
-  G (x) F and splits each F (x) F into a swap-even and a swap-odd half. So the dense eigensolve
-  of dim runs as blocks of about dim/4 and dim/8 at odd n (five blocks) and
-  dim/16 and dim/32 at even n (at most fourteen), and each mirror
+  G (x) F and splits each F (x) F into a swap-even and a swap-odd half. So
+  the dense eigensolve of dim runs as blocks of about dim/4 and dim/8 at odd
+  n (five blocks) and dim/16 and dim/32 at even n (at most fourteen), each
+  decomposed where :func:`sector_blocks` builds it, and each mirror
   G (x) F takes F (x) G's eigenpairs. The reflections and the swap do not
   commute with the translations, so a symmetry-adapted eigenvector carries
   no momentum: each block's solver still returns an arbitrary basis inside
@@ -285,47 +286,34 @@ def _rayleigh_quotients(v: np.ndarray, applied: np.ndarray) -> np.ndarray:
     return products.sum(axis=-1)
 
 
-def _swap_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into the m x m coordinates of F (x) F: the diagonal (a, a),
-    and the pairs (a, b) and (b, a) for a < b, which the swap exchanges."""
-    grid = np.arange(m * m).reshape(m, m)
-    upper = np.arange(m)[:, None] < np.arange(m)
-    return grid.diagonal(), grid[upper], grid.T[upper]
+def _swap_eigh(full: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a block over F (x) F, decomposed one swap half at a time.
 
-
-def _swap_fold(full: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The swap-even and swap-odd halves of a block over F (x) F.
-
-    ``full`` is the (m^2, m^2) block and ``pairs`` is :func:`_swap_pairs` of
-    m. The halves are its projections onto the orthonormal columns e_(a,a)
-    and (e_(a,b) + e_(b,a))/sqrt(2), and onto (e_(a,b) - e_(b,a))/sqrt(2),
-    a < b, in that order: sizes m(m+1)/2 and m(m-1)/2. Both are formed by
-    index gathers, in O(m^4).
+    ``full`` is the (m^2, m^2) block over the coordinates (a, b) at row
+    a * m + b. The swap (a, b) -> (b, a) splits it into two halves, its
+    projections onto the orthonormal columns e_(a,a) and
+    (e_(a,b) + e_(b,a))/sqrt(2), and onto (e_(a,b) - e_(b,a))/sqrt(2), a < b,
+    in that order: the swap-even and swap-odd halves, of sizes m(m+1)/2 and
+    m(m-1)/2, formed by index gathers in O(m^4). Each half is decomposed by
+    its own :func:`eig_hermitian` call, the empty odd half of m = 1 included.
+    Returns the values and their (m^2, m^2) coordinates over F (x) F, the
+    + half's first.
     """
-    diag, upper, lower = pairs
+    grid = np.arange(m * m).reshape(m, m)
+    above = np.arange(m)[:, None] < np.arange(m)
+    diag, upper, lower = grid.diagonal(), grid[above], grid.T[above]
     root = math.sqrt(0.5)
     cols = np.concatenate([full[:, diag], (full[:, upper] + full[:, lower]) * root], axis=1)
-    plus = np.concatenate([cols[diag], (cols[upper] + cols[lower]) * root])
+    plus = eig_hermitian(np.concatenate([cols[diag], (cols[upper] + cols[lower]) * root]))
     cols = (full[:, upper] - full[:, lower]) * root
-    return plus, (cols[upper] - cols[lower]) * root
-
-
-def _swap_unfold(plus: np.ndarray, minus: np.ndarray, pairs) -> np.ndarray:
-    """The (m^2, k+ + k-) coordinates over F (x) F of both halves' vectors.
-
-    ``plus`` and ``minus`` are the swap-even and swap-odd halves' vectors,
-    with rows in the column order of :func:`_swap_fold`; the plus columns
-    come first.
-    """
-    diag, upper, lower = pairs
-    root = math.sqrt(0.5)
-    k = plus.shape[1]
-    coords = np.zeros((len(diag) ** 2, k + minus.shape[1]))
-    coords[diag, :k] = plus[: len(diag)]
-    coords[upper, :k] = coords[lower, :k] = plus[len(diag) :] * root
-    coords[upper, k:] = minus * root
+    minus = eig_hermitian((cols[upper] - cols[lower]) * root)
+    k = len(plus.values)
+    coords = np.zeros((m * m, m * m))
+    coords[diag, :k] = plus.vectors[:m]
+    coords[upper, :k] = coords[lower, :k] = plus.vectors[m:] * root
+    coords[upper, k:] = minus.vectors * root
     coords[lower, k:] = -coords[upper, k:]
-    return coords
+    return np.concatenate([plus.values, minus.values]), coords
 
 
 def _kronecker_sum(a: np.ndarray, b: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -349,52 +337,38 @@ def sector_blocks(n: int):
     j -> j + n/2, A maps each product F_f (x) F_g, F_f on the block index p
     and F_g on the in-block index q, into itself as the Kronecker sum
     h_f (x) I + I (x) h_g of the ring hoppings h_f = F_f^T (P + P^T) F_f
-    (:func:`_kronecker_sum`). The diagonal swap (p, q) -> (q, p) maps
-    F_f (x) F_g onto its mirror F_g (x) F_f, whose values are the same bits,
-    and splits each F_f (x) F_f into a swap-even (+) and a swap-odd (-) half
-    (:func:`_swap_fold`): five blocks at odd n, at most fourteen at even n,
-    decomposed by one stacked :func:`eig_hermitian` call per block size. The
-    vectors are formed even for a reader of the values alone, whose values
-    are then those of :func:`sector_eigh` bit for bit. No h_f is decomposed
-    on its own: its eigenvectors would be the ring's cosine and sine modes,
-    the oracle's.
+    (:func:`_kronecker_sum`), each h_f formed from its own factor. The
+    diagonal swap (p, q) -> (q, p) maps F_f (x) F_g onto its mirror
+    F_g (x) F_f, whose values are the same bits, and splits each F_f (x) F_f
+    into a swap-even (+) and a swap-odd (-) half: five blocks at odd n, at
+    most fourteen at even n. One pass over the factor pairs f <= g builds
+    each pair's block and decomposes it where it is built, by one
+    :func:`eig_hermitian` call for f < g and one per half for f = g
+    (:func:`_swap_eigh`). The vectors are formed even for a reader of the
+    values alone, whose values are then those of :func:`sector_eigh` bit for
+    bit. No h_f is decomposed on its own: its eigenvectors would be the
+    ring's cosine and sine modes, the oracle's.
 
     Returns A's dim eigenvalues and each one's (x, y) half-shift parities
     (those of its factors on q and on p; 0 at odd n), unsorted: every pair's
     columns, then each f < g pair's again for its mirror; the ring factors;
-    and one record (f, g, values, coords) per factor pair f <= g, coords
-    the pair's eigenvectors over F_f (x) F_g. Where f = g the two halves are
-    unfolded into one record (:func:`_swap_unfold`), the + half first.
+    and one record (f, g, values, coords) per factor pair f <= g, in the
+    order of the pass, coords the pair's eigenvectors over F_f (x) F_g.
+    Where f = g the record holds both halves, the + half first.
     """
     factors, taus = ring_factors(n)
-    # F_f^T P F_f for every f at once: P couples no two factors.
-    ring = np.hstack(factors)
-    hop = ring.T @ ring[np.arange(-1, n - 1)]
-    hop += hop.T
-    bounds = list(itertools.accumulate([f.shape[1] for f in factors], initial=0))
-    hops = [hop[a:b, a:b] for a, b in zip(bounds, bounds[1:])]
+    shift = np.arange(-1, n - 1)
+    hops = [factor.T @ factor[shift] for factor in factors]
+    hops = [hop + hop.T for hop in hops]
     eye = np.eye(max(map(len, hops)))
-    # The factor pairs f <= g, each with the indices of its blocks: F_f (x) F_g,
-    # or for f = g the halves of _swap_fold.
-    pairs = [(f, g) for f in range(len(factors)) for g in range(f, len(factors))]
-    blocks, members = [], []
-    for f, g in pairs:
-        kron = _kronecker_sum(hops[f], hops[g], eye)
-        halves = _swap_fold(kron, _swap_pairs(len(hops[f]))) if f == g else [kron]
-        members.append(range(len(blocks), len(blocks) + len(halves)))
-        blocks += halves
-    sizes = [len(b) for b in blocks]
-    solved = [(np.zeros(0), np.zeros((0, 0)))] * len(blocks)
-    for k in sorted(set(sizes) - {0}):
-        same = [i for i, size in enumerate(sizes) if size == k]
-        sub = eig_hermitian(np.stack([blocks[i] for i in same]))
-        for i, values, vectors in zip(same, sub.values, sub.vectors):
-            solved[i] = (values, vectors)
     records = []
-    for (f, g), indices in zip(pairs, members):
-        values, vectors = zip(*(solved[i] for i in indices))
-        coords = _swap_unfold(*vectors, _swap_pairs(len(hops[f]))) if f == g else vectors[0]
-        records.append((f, g, np.concatenate(values), coords))
+    for f, g in itertools.combinations_with_replacement(range(len(factors)), 2):
+        kron = _kronecker_sum(hops[f], hops[g], eye)
+        if f < g:
+            sub = eig_hermitian(kron)
+            records.append((f, g, sub.values, sub.vectors))
+        else:
+            records.append((f, g, *_swap_eigh(kron, len(hops[f]))))
     # The runs of columns, each with its factors on q and on p: every pair's,
     # then each f < g pair's mirror, whose factors trade places.
     runs = [(g, f, v) for f, g, v, _ in records] + [(f, g, v) for f, g, v, _ in records if f < g]
@@ -647,14 +621,13 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
             f"momentum labels are not bijective: {collisions} collisions"
         )
     order = np.argsort(codes)
-    # The basis is written once, each eigenvector straight into its label's
-    # row; real Q times complex coordinates is one real product per block size.
-    position = np.empty_like(order)
-    position[order] = np.arange(dim)
+    # The basis is written once, each eigenvector straight into the row of its
+    # label's code (the codes are a permutation of the rows); real Q times
+    # complex coordinates is one real product per block size.
     rows = np.empty((dim, dim), dtype=complex)
     for k, cols, q, _ in groups:
         c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))
-        rows[position[cols]] = (q @ c.view(float)).view(complex).transpose(0, 2, 1)
+        rows[codes[cols]] = (q @ c.view(float)).view(complex).transpose(0, 2, 1)
     # Column j's hopping eigenvalue is sum_i |c_ij|^2 lambda_i over its block's
     # values lambda; the coordinate rows past a block's size are zero.
     block_values = values[np.minimum(first + np.arange(len(coords))[:, None], dim - 1)]

@@ -38,6 +38,12 @@ class TestBandFromEnergies:
         with pytest.raises(ValueError, match=r"^label \(0, 0\) of row 1 repeats an earlier row's$"):
             band_from_energies(LatticeSpec(4, 1.0, 0.2), labels, np.zeros(16))
 
+    def test_rejects_complex_energies(self):
+        # a cast to float would drop the imaginary parts from the band table
+        labels = np.stack(np.divmod(np.arange(9), 3), axis=1)
+        with pytest.raises(ValueError, match=r"^energies are complex; they must be real$"):
+            band_from_energies(LatticeSpec(3, 1.0, 0.2), labels, np.ones(9) + 1j)
+
 
 class TestComputeDispersion:
     def test_n8_staircase(self):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -635,7 +636,7 @@ class TestRefine:
     @pytest.mark.parametrize(
         "n,alpha,t", [(8, 1.0, 0.2), (9, 2.1, -0.4), (12, -0.7, 1.1), (16, 0.0, 0.3)]
     )
-    def test_one_block_eigh_per_size_and_stage(self, n, alpha, t, monkeypatch):
+    def test_each_block_eigh_once_and_each_stage_once_per_size(self, n, alpha, t, monkeypatch):
         family = build_family(LatticeSpec(n, alpha, t))
         shapes = []
 
@@ -646,17 +647,18 @@ class TestRefine:
         monkeypatch.setattr(simdiag, "eig_hermitian", counted)
         simultaneous_basis_refine(family)
         # the hopping operator in its symmetry blocks, over the ring factors
-        # F_f: F_f (x) F_g for f < g (its mirror F_g (x) F_f is not solved)
-        # and the swap-even and swap-odd halves of each F_f (x) F_f, one
-        # stacked call per distinct block size, ascending
+        # F_f, one call per block in factor-pair order: F_f (x) F_g for f < g
+        # (its mirror F_g (x) F_f is not solved), and for f = g the swap-even,
+        # then the swap-odd half of F_f (x) F_f, empty halves included
         factors = [f.shape[1] for f in ring_factors(n)[0]]
+        blocks = []
+        for f, g in itertools.combinations_with_replacement(range(len(factors)), 2):
+            a, b = factors[f], factors[g]
+            blocks += [a * b] if f < g else [a * (a + 1) // 2, a * (a - 1) // 2]
         mirrored = [a * b for i, a in enumerate(factors) for b in factors[i + 1 :]]
-        blocks = mirrored + [m * (m + 1) // 2 for m in factors] + [m * (m - 1) // 2 for m in factors]
-        blocks = [k for k in blocks if k]
-        distinct = sorted(set(blocks))
-        sectors, stages = shapes[: len(distinct)], shapes[len(distinct) :]
-        assert sectors == [(blocks.count(k), k, k) for k in distinct]
-        assert sum(math.prod(shape[:-1]) for shape in sectors) == n * n - sum(mirrored)
+        sectors, stages = shapes[: len(blocks)], shapes[len(blocks) :]
+        assert sectors == [(k, k) for k in blocks]
+        assert sum(shape[0] for shape in sectors) == n * n - sum(mirrored)
         sizes = [shape[-1] for shape in stages]
         assert all(len(shape) == 3 for shape in stages)
         # two stages, one per translation
