@@ -99,8 +99,8 @@ def compute_spectrum(spec: LatticeSpec) -> np.ndarray:
     blocks of the hopping operator A (:func:`~tbbands.simdiag.sector_blocks`)
     that the refine method starts from; no eigenvector is lifted. The values
     are stable-sorted before the energies are formed and sorted, so every bit
-    is that of :func:`~tbbands.simdiag.sector_eigh`'s values treated the same
-    way.
+    is that of the values the refine method sorts by half-shift class and
+    clusters, treated the same way.
     """
     hopping = np.sort(sector_blocks(build_family(spec).n)[0], kind="stable")
     return np.sort(spec.alpha - spec.t * hopping)

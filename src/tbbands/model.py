@@ -17,7 +17,7 @@ Kronecker products of two ring factors split the sites into sectors that A
 maps into themselves; the swap maps F (x) G onto G (x) F and splits each
 F (x) F in halves, so the one dense eigensolve runs as blocks of about a
 quarter or an eighth of the dimension at odd n, and a sixteenth or a
-thirty-second at even n (``simdiag.sector_eigh``). The norm of H has the
+thirty-second at even n (``simdiag.sector_blocks``). The norm of H has the
 closed form :func:`hamiltonian_norm`.
 """
 

@@ -14,13 +14,13 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   (e^{i phi} S + e^{-i phi} S*)/2 with phi = pi/(2n) has n distinct
   eigenvalues, so one stage per axis pins each translation eigenvalue uniquely
   on the unit circle. S_x and S_y are projected once onto each cluster of A's
-  eigenvectors; the stages then act on the clusters' k x k coordinates, all
-  blocks of one size in one stacked call, and the complex basis is formed
-  once, from the final coordinates, which also give each column's lambda.
-  Every tolerance is a constant of the operator it clusters, and the block
-  partition depends on n alone.
+  eigenvectors; the stages then act on the clusters' k x k coordinates, up to
+  CHUNK blocks of one size in one stacked call, and the complex basis is
+  formed once, from the final coordinates, which also give each column's
+  lambda. Every tolerance is a constant of the operator it clusters, and the
+  block partition depends on n alone.
 
-  A itself is diagonalized by :func:`sector_eigh`, in the blocks of its
+  A itself is diagonalized by :func:`sector_blocks`, in the blocks of its
   explicit lattice symmetries: the site reflections q -> -q and p -> -p,
   at even n the half-shifts q -> q + n/2 and p -> p + n/2, and the
   diagonal swap (p, q) -> (q, p). The characters of the reflections, and of
@@ -30,17 +30,17 @@ no momentum label. The routines here resolve the ambiguity in two ways:
   G (x) F and splits each F (x) F into a swap-even and a swap-odd half. So
   the dense eigensolve of dim runs as blocks of about dim/4 and dim/8 at odd
   n (five blocks) and dim/16 and dim/32 at even n (at most fourteen), each
-  decomposed where :func:`sector_blocks` builds it, and each mirror
-  G (x) F takes F (x) G's eigenpairs. The reflections and the swap do not
-  commute with the translations, so a symmetry-adapted eigenvector carries
-  no momentum: each block's solver still returns an arbitrary basis inside
-  its degenerate subspaces (the (r, s) and (s, r) modes, say), and a cluster
-  of A spans several blocks. The half-shifts commute with the translations,
-  and their parities are those of the momentum components, so A's
-  eigenpairs are sorted once, by parity class, then value, and clustered in
-  that order, inside each class, and S_x and S_y are projected from a
-  quarter of the lattice, the half-shifts' fundamental domain. Every label
-  comes from the translation stages, and is checked against its class.
+  decomposed where it is built, and each mirror G (x) F takes F (x) G's
+  eigenpairs. The reflections and the swap do not commute with the
+  translations, so a symmetry-adapted eigenvector carries no momentum: each
+  block's solver still returns an arbitrary basis inside its degenerate
+  subspaces (the (r, s) and (s, r) modes, say), and a cluster of A spans
+  several blocks. The half-shifts commute with the translations, and their
+  parities are those of the momentum components, so A's eigenpairs are
+  sorted by parity class, then value, clustered inside each class and
+  lifted straight into the clusters' columns, and S_x and S_y are projected
+  from a quarter of the lattice, the half-shifts' fundamental domain. Each
+  label comes from the translation stages and is checked against its class.
 
 * :func:`simultaneous_basis_combination`: diagonalize the two product matrices
   H(S_x - S_y) and S_x(H - S_y) (both normal, handled through their commuting
@@ -114,10 +114,10 @@ STAGE_GAP_TOL = 1e-9 * math.sqrt(0.5)
 # Merging loses no accuracy: a cluster's plane waves are A's eigenvectors.
 HOPPING_MERGE_TOL = 3e-3
 
-# Columns per chunk of the passes over a whole basis: the combination
-# method's screen, and the residuals, the oracle comparison and the
-# orthogonality estimate in verify_basis. Each chunk's temporaries stay a
-# fraction of the (dim, dim) basis.
+# Columns per chunk of the passes over a whole basis (the combination method's
+# screen; verify_basis's residuals, oracle comparison and orthogonality estimate),
+# and clusters per group of refine's projections and basis product, Q times the
+# group's coordinates. Each chunk's temporaries stay a fraction of the (dim, dim) basis.
 CHUNK = 128
 
 # verify_basis takes its residuals, phase overlaps and orthogonality estimate
@@ -345,9 +345,9 @@ def sector_blocks(n: int):
     each pair's block and decomposes it where it is built, by one
     :func:`eig_hermitian` call for f < g and one per half for f = g
     (:func:`_swap_eigh`). The vectors are formed even for a reader of the
-    values alone, whose values are then those of :func:`sector_eigh` bit for
-    bit. No h_f is decomposed on its own: its eigenvectors would be the
-    ring's cosine and sine modes, the oracle's.
+    values alone, so that its values are refine's bit for bit. No h_f is
+    decomposed on its own: its eigenvectors would be the ring's cosine and
+    sine modes, the oracle's.
 
     Returns A's dim eigenvalues and each one's (x, y) half-shift parities
     (those of its factors on q and on p; 0 at odd n), unsorted: every pair's
@@ -378,45 +378,46 @@ def sector_blocks(n: int):
     return values, parities, factors, records
 
 
-def sector_eigh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecomposition of the hopping operator A through its symmetry blocks.
-
-    The columns of :func:`sector_blocks` are put in one order, by half-shift
-    class 2 tau + sigma of their (x, y) parities (tau, sigma), then by value,
-    with one stable sort, and each pair's vectors are lifted once and written
-    straight into their sorted columns, and an f < g pair's into its mirror's
-    with the site grid transposed. Returns the values, real orthonormal
-    (dim, dim) vectors, column-major, which diagonalize A as a dense
-    eigensolve of the whole A would, in a different basis inside each
-    degenerate eigenspace, and each column's parities, those of its pair's
-    factors; at odd n every parity is 0 and the order is that of the values.
-    """
-    dim = n * n
-    values, parities, factors, records = sector_blocks(n)
-    order = np.lexsort((values, 2 * parities[:, 0] + parities[:, 1]))
-    position = np.empty_like(order)
-    position[order] = np.arange(dim)
-    # Written column by column into the rows of the transpose, contiguously.
-    columns = np.empty((dim, n, n))
-    start, mirror = 0, sum(len(v) for _, _, v, _ in records)
-    for f, g, pair_values, coords in records:
-        m = len(pair_values)
-        a, b = factors[f], factors[g]
-        lifted = b @ (a @ coords.reshape(a.shape[1], -1)).reshape(n, b.shape[1], m)
-        columns[position[start : start + m]] = lifted.transpose(2, 0, 1)
-        start += m
-        if f != g:
-            columns[position[mirror : mirror + m]] = lifted.transpose(2, 1, 0)
-            mirror += m
-    return values[order], columns.reshape(dim, dim).T, parities[order]
-
-
 def _block_sizes(starts: np.ndarray, dim: int, min_size: int = 1):
     """(k, cols) for each block size k >= min_size, ascending, of the partition of
     [0, dim) into blocks opening at ``starts``; cols (m, k) holds its blocks' columns."""
     sizes = np.diff(starts, append=dim)
     for k in np.unique(sizes[sizes >= min_size]).tolist():
         yield k, starts[sizes == k, None] + np.arange(k)
+
+
+def _hopping_groups(n: int):
+    """Stage (1) of :func:`simultaneous_basis_refine`: A's values and parities, sorted by
+    half-shift class, then value; their clusters' starts; and (k, cols, Q, projections of
+    S_x and S_y) per group of at most CHUNK clusters of one size k. Each Q (m, dim, k) is a
+    view of one buffer, into which each pair's vectors, and its mirror's, are lifted once."""
+    dim = n * n
+    values, parities, factors, records = sector_blocks(n)
+    order = np.lexsort((values, 2 * parities[:, 0] + parities[:, 1]))
+    values, parities = values[order], parities[order]
+    # The levels lie in [-4, 4] and the class offsets 16 (2 tau + sigma) are 32 apart, so
+    # the keys ascend and no cluster spans two classes. At odd n they are the values.
+    keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
+    starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
+    chunks = [(k, part) for k, cols in _block_sizes(starts, dim)
+              for part in np.split(cols, range(CHUNK, len(cols), CHUNK))]
+    # Row place[u] holds sector_blocks' column u: each group's columns are contiguous rows.
+    place = np.argsort(order[np.concatenate([cols.ravel() for _, cols in chunks])])
+    buffer = np.empty((dim, n, n))
+    start, mirror = 0, sum(len(v) for _, _, v, _ in records)
+    for f, g, pair_values, coords in records:
+        a, b, m = factors[f], factors[g], len(pair_values)
+        lifted = b @ (a @ coords.reshape(a.shape[1], -1)).reshape(n, b.shape[1], m)
+        buffer[place[start : start + m]] = lifted.transpose(2, 0, 1)
+        start += m
+        if f != g:
+            buffer[place[mirror : mirror + m]] = lifted.transpose(2, 1, 0)
+            mirror += m
+    quarter, rows, groups = _quarter_sites(n, parities), buffer.reshape(dim, dim), []
+    for k, cols in chunks:
+        q, rows = rows[: cols.size].reshape(*cols.shape, dim), rows[cols.size :]
+        groups.append((k, cols, q.transpose(0, 2, 1), _translation_projections(q, quarter)))
+    return values, parities, starts, groups
 
 
 def _refine_within_blocks(
@@ -465,7 +466,7 @@ def _apply_within_blocks(coords: np.ndarray, parts) -> np.ndarray:
     ``coords`` is (k_max, dim): block j's coordinates sit in the first k_j
     rows of its columns. ``parts`` pairs each group's ``cols`` with an
     (..., m, k, k) stack, the same leading shape for every group; one
-    batched product per block size, returned as (..., k_max, dim).
+    batched product per group, returned as (..., k_max, dim).
     """
     out = np.zeros(parts[0][1].shape[:-3] + coords.shape, dtype=complex)
     for cols, matrices in parts:
@@ -508,8 +509,8 @@ def _quarter_sites(n: int, parities: np.ndarray) -> np.ndarray:
 def _translation_projections(columns: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """Q_b^T S_x Q_b and Q_b^T S_y Q_b, (2, m, k, k), for m blocks of k columns.
 
-    ``columns`` is the (m, k, dim) stack of the blocks' columns of
-    :func:`sector_eigh`'s eigenvectors, each block of one half-shift class,
+    ``columns`` is the (m, k, dim) stack of the blocks' columns of A's
+    eigenvectors (:func:`_hopping_groups`), each block of one half-shift class,
     and ``quarter`` is :func:`_quarter_sites`. The translations commute with
     the half-shifts, so the summand Q[s, i] (S Q)[s, j] is the same at every
     image of site s under the half-shifts: each projection is the sum over
@@ -530,22 +531,22 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     (:func:`_assemble`). The block partition, the tolerances and the rounding
     of the vectors are the same for every (alpha, t) at one n, t = 0 included.
 
-    Stages: (1) diagonalize the real A in its symmetry blocks
-    (:func:`sector_eigh`, whose columns come sorted by half-shift class, then
-    value) and cluster its eigenvalues with HOPPING_MERGE_TOL inside each
-    class, in one pass over the columns in that order; (2) inside every
-    cluster diagonalize the projection of the phase-rotated Hermitian part
-    (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose eigenvalue
-    fixes the x-translation eigenvalue;
-    (3) inside remaining sub-clusters the same for S_y. Both stages cluster
-    with STAGE_GAP_TOL; the partition is carried as ``starts``, each block's
-    first column. After the eigensolve of A every stage works in the
-    blocks' own coordinates: S_x and S_y are projected once onto each block of
-    A's real eigenvectors Q, as sums over the fundamental domain of the
-    half-shifts (:func:`_translation_projections`; the whole lattice at odd
-    n), the stages are (k, k) Hermitian eigendecompositions of those
-    projections, one stacked call per block size, and the translation eigenvalues are
-    quotients of the coordinates. The complex basis, Q times the
+    Stages: (1) diagonalize the real A in its symmetry blocks, sort its
+    eigenpairs by half-shift class 2 tau + sigma of their (x, y) parities,
+    then value, cluster its eigenvalues with HOPPING_MERGE_TOL inside each
+    class and lift them into the clusters' groups (:func:`_hopping_groups`);
+    (2) inside every cluster diagonalize the projection of the phase-rotated
+    Hermitian part (e^{i phi} S_x + e^{-i phi} S_x*)/2, phi = pi/(2n), whose
+    eigenvalue fixes the x-translation eigenvalue; (3) inside remaining
+    sub-clusters the same for S_y. Both stages cluster with STAGE_GAP_TOL;
+    the partition is carried as ``starts``, each block's first column. After
+    the eigensolve of A every stage works in the blocks' own coordinates: S_x
+    and S_y are projected once onto each block of A's real eigenvectors Q, as
+    sums over the fundamental domain of the half-shifts
+    (:func:`_translation_projections`; the whole lattice at odd n), the
+    stages are (k, k) Hermitian eigendecompositions of those projections, one
+    stacked call per group, and the translation eigenvalues are quotients of
+    the coordinates. The complex basis, Q times the
     coordinates, is formed once at the end. Column j's A eigenvalue is
     sum_i |c_ij|^2 lambda_i, over its final coordinates c and its block's
     eigenvalues lambda, in O(dim k): A is never applied to the basis.
@@ -567,23 +568,7 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
         cluster's half-shift class.
     """
     n, dim = family.n, family.dim
-    values, vectors, parities = sector_eigh(n)
-    # The columns come sorted by half-shift class, then value: the levels lie in
-    # [-4, 4] and the class offsets 16 (2 tau + sigma) are 32 apart, so the keys
-    # ascend and no cluster spans two classes. At odd n the keys are the values.
-    keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
-    starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
-    # Per block size: its blocks' columns, their Q (m, dim, k), and Q_b^T S Q_b of S_x and
-    # S_y (2, m, k, k), summed over a quarter of the sites.
-    quarter = _quarter_sites(n, parities)
-    groups = []
-    for k, cols in _block_sizes(starts, dim):
-        # Q is column-major: its transpose's rows are its columns, contiguous.
-        columns = vectors.T[cols]
-        projected = _translation_projections(columns, quarter)
-        groups.append((k, cols, columns.transpose(0, 2, 1), projected))
-    # The groups hold their own copies of Q's columns: free Q before the basis.
-    del vectors
+    values, parities, starts, groups = _hopping_groups(n)
     # Block j's coordinates in its own columns of Q start as the identity.
     sizes = np.diff(starts, append=dim)
     first = np.repeat(starts, sizes)
@@ -623,7 +608,7 @@ def simultaneous_basis_refine(family: CommutingFamily) -> SymBasis:
     order = np.argsort(codes)
     # The basis is written once, each eigenvector straight into the row of its
     # label's code (the codes are a permutation of the rows); real Q times
-    # complex coordinates is one real product per block size.
+    # complex coordinates is one real product per group.
     rows = np.empty((dim, dim), dtype=complex)
     for k, cols, q, _ in groups:
         c = np.ascontiguousarray(coords[:k, cols].transpose(1, 0, 2))

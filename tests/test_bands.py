@@ -13,10 +13,9 @@ from tbbands.bands import (
 )
 from tbbands.eigen import cluster_eigenvalues
 from tbbands.model import LatticeSpec
-from tbbands.simdiag import sector_eigh
 
 from analytic_reference import analytic_eigenvalue, degeneracy_census
-from dense_reference import dense_h
+from dense_reference import dense_h, sector_eigh
 
 REFERENCE_N8 = LatticeSpec(8, 1.0, 0.2)
 

@@ -474,3 +474,19 @@ class TestUsage:
             assert exc.value.code == 2
             assert "--out and --vectors name the same file" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["bands", "verify"])
+    def test_out_and_vectors_may_not_name_one_file_through_a_symlink(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # link.csv -> real.csv passed the guard, and the vector rows replaced
+        # the band table; the target need not exist yet
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "compute_basis", None)
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        for out, vectors in (("link.csv", "real.csv"), ("real.csv", "link.csv")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--n", "4", "--out", out, "--vectors", vectors])
+            assert exc.value.code == 2
+            assert "--out and --vectors name the same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]

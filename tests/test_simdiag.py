@@ -43,7 +43,7 @@ from tbbands.simdiag import (
 )
 
 from analytic_reference import analytic_eigenvalue
-from dense_reference import dense_h, dense_hopping, dense_operators, max_residual
+from dense_reference import dense_h, dense_hopping, dense_operators, max_residual, sector_eigh
 
 
 def all_indices(n):
@@ -347,7 +347,7 @@ class TestSectorEigh:
         # alpha = 0, t = -1; its vectors diagonalize the H of every (alpha, t)
         # with the eigenvalues alpha - t lambda
         a = dense_hopping(n)
-        values, v, parities = simdiag.sector_eigh(n)
+        values, v, parities = sector_eigh(n)
         want = eig_hermitian(a)
         scale = np.linalg.norm(a)
         assert v.shape == (n * n, n * n) and v.dtype == np.float64
@@ -383,7 +383,7 @@ class TestSectorEigh:
         lifted = [np.kron(factors[f], factors[g]) @ coords for f, g, _, coords in records]
         grids = [q.reshape(n, n, -1) for (f, g, _, _), q in zip(records, lifted) if f < g]
         lifted += [grid.transpose(1, 0, 2).reshape(n * n, -1) for grid in grids]
-        got_values, got_vectors, got_parities = simdiag.sector_eigh(n)
+        got_values, got_vectors, got_parities = sector_eigh(n)
         assert np.array_equal(got_values.view(np.uint64), values[order].view(np.uint64))
         assert np.array_equal(got_parities, parities[order])
         assert np.abs(got_vectors - np.hstack(lifted)[:, order]).max() <= 1e-15
@@ -429,7 +429,7 @@ class TestSectorEigh:
         # F_g (x) F_f; the diagonal products F_f (x) F_f are the columns of
         # equal reflection parities and equal half-shift parities on the two
         # axes, and each of their columns is swap-even or swap-odd
-        _, vectors, _ = simdiag.sector_eigh(n)
+        _, vectors, _ = sector_eigh(n)
         odd_p, odd_q, swapped = self.swap_images(n, vectors)
         tau = self.half_shift_parities(n, vectors)
         diagonal = (odd_p == odd_q) & (tau[:, 0] == tau[:, 1])
@@ -442,12 +442,12 @@ class TestSectorEigh:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10, 16, 17, 30])
     def test_columns_have_the_reported_half_shift_parities(self, n):
-        _, vectors, parities = simdiag.sector_eigh(n)
+        _, vectors, parities = sector_eigh(n)
         assert np.array_equal(parities, self.half_shift_parities(n, vectors))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 17, 30])
     def test_oe_is_eo_under_the_swap_bit_for_bit(self, n):
-        values, vectors, _ = simdiag.sector_eigh(n)
+        values, vectors, _ = sector_eigh(n)
         odd_p, odd_q, swapped = self.swap_images(n, vectors)
         eo = np.flatnonzero(~odd_p & odd_q)
         oe = np.flatnonzero(odd_p & ~odd_q)
@@ -457,7 +457,7 @@ class TestSectorEigh:
         assert np.array_equal(values[partner].view(np.uint64), values[eo].view(np.uint64))
 
     def test_deterministic(self):
-        first, second = simdiag.sector_eigh(11), simdiag.sector_eigh(11)
+        first, second = sector_eigh(11), sector_eigh(11)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -689,6 +689,38 @@ class TestRefine:
             quotients = simdiag._rayleigh_quotients(v, apply(v))
             assert np.abs(basis.sym_eigs[:, column] - quotients).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [*range(3, 41), 61])
+    def test_grouped_lift_is_the_dense_reference_bit_for_bit(self, n):
+        # refine lifts each pair's vectors once, straight into one buffer that
+        # holds its clusters' columns size by size, in groups of at most CHUNK
+        # clusters (the 318 eight-column clusters of n = 61 form three): each
+        # group's Q is a view of that buffer and holds the dense reference's
+        # sorted columns at the group's clusters, bit for bit
+        values, parities, starts, groups = simdiag._hopping_groups(n)
+        want_values, vectors, want_parities = sector_eigh(n)
+        assert np.array_equal(values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(parities, want_parities)
+        keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
+        clusters = cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters
+        assert starts.tolist() == [c.start for c in clusters]
+        by_size = list(simdiag._block_sizes(starts, n * n))
+        assert np.array_equal(
+            np.concatenate([cols for _, cols, _, _ in groups], axis=None),
+            np.concatenate([cols for _, cols in by_size], axis=None),
+        )
+        buffer = groups[0][2].base
+        assert buffer.size == n**4
+        offset = 0
+        for k, cols, q, _ in groups:
+            assert cols.shape[1] == k and len(cols) <= simdiag.CHUNK
+            assert q.base is buffer
+            rows = buffer.reshape(n * n, -1)[offset : offset + cols.size]
+            assert np.shares_memory(q, rows)
+            offset += cols.size
+            columns = q.transpose(0, 2, 1)
+            assert np.array_equal(columns.view(np.uint64), vectors.T[cols].view(np.uint64))
+        assert offset == n * n
+
     @pytest.mark.parametrize("n", range(3, 31))
     def test_quarter_domain_projections_equal_whole_lattice_sums(self, n):
         # Q_b^T S Q_b over clusters of A's columns of one half-shift class,
@@ -697,15 +729,12 @@ class TestRefine:
         # along the sites so that the reference itself errs by O(log(dim)
         # eps); at odd n the domain is the whole lattice and every column is
         # of the one class
-        values, vectors, parities = simdiag.sector_eigh(n)
-        keys = values + 16.0 * (2 * parities[:, 0] + parities[:, 1])
-        starts = np.array([c.start for c in cluster_eigenvalues(keys, HOPPING_MERGE_TOL).clusters])
+        _, parities, _, groups = simdiag._hopping_groups(n)
         quarter = simdiag._quarter_sites(n, parities)
         assert quarter.shape == (3, (n // 2 if n % 2 == 0 else n) ** 2)
-        for _, cols in simdiag._block_sizes(starts, n * n):
+        for _, cols, q, got in groups:
             assert (parities[cols] == parities[cols][:, :1]).all()
-            columns = vectors.T[cols]
-            got = simdiag._translation_projections(columns, quarter)
+            columns = q.transpose(0, 2, 1)
             for projected, axis in zip(got, (X_AXIS, Y_AXIS)):
                 shifted = np.roll(columns.reshape(*cols.shape, n, n), 1, axis=axis - 2)
                 products = columns[:, :, None] * shifted.reshape(columns.shape)[:, None]
@@ -1357,6 +1386,12 @@ class TestAllocationBudget:
     # compute_spectrum at n = 40 reads the symmetry blocks' values alone:
     # 1.75 MiB measured, against 19.5 MiB for one real (dim, dim) basis.
     SPECTRUM_MIB = 4
+    # One solve at n = 61, where odd n has no half-shift and the projections
+    # gather the whole lattice: 383.8 MiB measured (382.8 under one BLAS
+    # thread) once A's eigenvectors were lifted straight into refine's groups
+    # of at most CHUNK clusters (1.82 times the 211 MiB complex basis); it
+    # was 469.4 MiB with the dense Q and per-size copies of its columns.
+    REFINE_N61_MIB = 384
 
     def test_peaks_at_n30(self):
         spec = LatticeSpec(30, 1.3, -0.7)
@@ -1372,6 +1407,16 @@ class TestAllocationBudget:
             tracemalloc.stop()
         assert refine_peak <= self.REFINE_MIB * 2**20
         assert verify_peak <= self.VERIFY_MIB * 2**20
+
+    def test_refine_peak_at_n61(self):
+        family = build_family(LatticeSpec(61, 1.3, -0.7))
+        tracemalloc.start()
+        try:
+            simultaneous_basis_refine(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.REFINE_N61_MIB * 2**20
 
     def test_spectrum_peak_at_n40(self):
         spec = LatticeSpec(40, 1.3, -0.7)
